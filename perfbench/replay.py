@@ -11,7 +11,8 @@ next op starts when the previous one returns.  It
   the PDL write buffer — reopens it from the image files alone, checks
   that every page reads back its last committed image (or a newer one),
   and re-submits the updates the crash left unacknowledged;
-* after the window, compares every page with
+* after the window, commits, closes and reopens the database and
+  compares every page it reads back from storage with
   ``ScenarioStream.expected_images()`` over the ops it executed.
 
 Any op that raises, returns wrong bytes or loses an acknowledged write
@@ -38,7 +39,7 @@ from repro.scenarios import ResolvedOp, ScenarioStream
 from repro.storage import Database
 from repro.workloads.patterns import READ
 
-from .calibrate import Calibrator, timed
+from .calibrate import Calibrator, child_pids, timed
 from .metrics import percentile
 from .tracer import SpanTable, Tracer
 from .workloads import COMMIT_EVERY, PAGE_SIZE, Workload
@@ -153,12 +154,7 @@ def pin_to_one_cpu() -> None:
 
 def peak_rss_mb() -> float:
     """Peak RSS of this process plus its direct children, in MB."""
-    pids = [os.getpid()]
-    try:
-        with open(f"/proc/{os.getpid()}/task/{os.getpid()}/children") as fh:
-            pids += [int(pid) for pid in fh.read().split()]
-    except OSError:
-        pass
+    pids = [os.getpid()] + child_pids()
     total_kb = 0
     for pid in pids:
         try:
@@ -196,9 +192,12 @@ class WorkloadRun:
         self.path = ""
         self.meter = Meter()
         self.calibrator = Calibrator()
-        #: Normalized host times (ns) of each setup and each restart.
-        self.setup_ns: List[float] = []
-        self.restart_ns: List[float] = []
+        #: Raw host times (ns) of each setup and each restart, and the
+        #: normalization factor measured around each.
+        self.setup_ns: List[int] = []
+        self.setup_factors: List[float] = []
+        self.restart_ns: List[int] = []
+        self.restart_factors: List[float] = []
         self.restart_sim_us: List[float] = []
         #: Raw host latencies (ns), split into slices by ``slice_ends``.
         self.read_ns = array("q")
@@ -244,8 +243,9 @@ class WorkloadRun:
         for _ in range(repeats):
             self._close_current()
             self.path = tempfile.mkdtemp(dir=self.workdir)
-            self.db, elapsed = timed(self._create)
+            self.db, elapsed, factor = timed(self._create)
             self.setup_ns.append(elapsed)
+            self.setup_factors.append(factor)
 
     def _create(self) -> Database:
         db = Database.open(self.path, **self.workload.open_kwargs())
@@ -268,6 +268,10 @@ class WorkloadRun:
         time have passed; crash and check on the workload's schedule."""
         try:
             self._replay(int(seconds * 1e9))
+            if self.tracer is not None:
+                # The final check is not part of the workload.
+                self.tracer.enabled = False
+                self.tracer.op_id = -1
             self._final_check()
         except Exception:  # the run reports the failure; the engine stops here
             self._fail("op raised:\n" + traceback.format_exc())
@@ -371,10 +375,11 @@ class WorkloadRun:
         if metering:
             self.meter.stop(self.db)
         _abandon(self.db)
-        self.db, elapsed = timed(
+        self.db, elapsed, factor = timed(
             lambda: Database.open(self.path, **self.workload.open_kwargs())
         )
         self.restart_ns.append(elapsed)
+        self.restart_factors.append(factor)
         self.restart_sim_us.append(
             sum(stats.totals().time_us for stats in _shard_stats(self.db.driver))
         )
@@ -403,11 +408,15 @@ class WorkloadRun:
                 self._fail(f"restart lost the acknowledged image of page {pid}")
 
     def _final_check(self) -> None:
-        """Commit, then compare every page with the expected images of
-        exactly the ops executed (the stream replayed whole passes plus
-        a prefix)."""
+        """Commit, close and reopen, then compare every page read back
+        from storage (the reopened pool starts empty) with the expected
+        images of exactly the ops executed (the stream replayed whole
+        passes plus a prefix)."""
         self.db.flush()
         self._acknowledge()
+        self.db.close()
+        self.db = None
+        self.db = Database.open(self.path, **self.workload.open_kwargs())
         ops = self.stream.ops
         passes, rest = divmod(self.ops_done, len(ops))
         executed = ScenarioStream(
@@ -434,11 +443,17 @@ class WorkloadRun:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def _normalized(self, samples: Sequence[int], column: int) -> List[float]:
-        """``samples`` scaled slice by slice to normalized host time, sorted."""
+    def _factors(self, raw: bool) -> List[float]:
+        """Per-slice normalization factors (all 1 for raw host time)."""
+        factors = self.calibrator.factors()
+        return [1.0] * len(factors) if raw else factors
+
+    def _scaled(self, samples: Sequence[int], column: int, raw: bool) -> List[float]:
+        """``samples`` scaled slice by slice to normalized host time
+        (unless ``raw``), sorted."""
         out: List[float] = []
         lo = 0
-        for ends, factor in zip(self.slice_ends, self.calibrator.factors()):
+        for ends, factor in zip(self.slice_ends, self._factors(raw)):
             hi = ends[column]
             out.extend(x * factor for x in samples[lo:hi])
             lo = hi
@@ -450,10 +465,9 @@ class WorkloadRun:
         """Raw host seconds of op time in the timed window."""
         return sum(self.slice_ns) / 1e9
 
-    @property
-    def ops_per_s(self) -> float:
-        """Throughput over the normalized op time of the window."""
-        factors = self.calibrator.factors()
+    def ops_per_s(self, raw: bool = False) -> float:
+        """Throughput over the normalized (or ``raw``) op time of the window."""
+        factors = self._factors(raw)
         return self.ops_done * 1e9 / sum(t * f for t, f in zip(self.slice_ns, factors))
 
     @property
@@ -462,23 +476,30 @@ class WorkloadRun:
         the reference kernel in exactly 1 ms)."""
         return statistics.median(self.calibrator.factors())
 
-    def end_to_end(self) -> Dict[str, float]:
+    def end_to_end(self, raw: bool = False) -> Dict[str, float]:
+        """The end-to-end metrics; host times normalized unless ``raw``."""
         n = self.workload.det_ops
         det = self.meter.totals
-        reads = self._normalized(self.read_ns, 0)
-        updates = self._normalized(self.update_ns, 1)
-        commits = self._normalized(self.commit_ns, 2)
+        reads = self._scaled(self.read_ns, 0, raw)
+        updates = self._scaled(self.update_ns, 1, raw)
+        commits = self._scaled(self.commit_ns, 2, raw)
         pages = self.workload.n_pages
+
+        def one_off(samples: List[int], factors: List[float]) -> List[float]:
+            return samples if raw else [t * f for t, f in zip(samples, factors)]
+
         return {
-            "setup_s": statistics.median(self.setup_ns) / 1e9,
-            "ops_per_s": self.ops_per_s,
+            "setup_s": statistics.median(one_off(self.setup_ns, self.setup_factors)) / 1e9,
+            "ops_per_s": self.ops_per_s(raw),
             "read_p50_us": percentile(reads, 50) / 1e3,
             "read_p95_us": percentile(reads, 95) / 1e3,
             "update_p50_us": percentile(updates, 50) / 1e3,
             "update_p95_us": percentile(updates, 95) / 1e3,
             "commit_p50_us": percentile(commits, 50) / 1e3,
             "commit_p95_us": percentile(commits, 95) / 1e3,
-            "restart_mean_ms": statistics.mean(self.restart_ns) / 1e6,
+            "restart_mean_ms": statistics.mean(
+                one_off(self.restart_ns, self.restart_factors)
+            ) / 1e6,
             "restart_sim_ms": statistics.mean(self.restart_sim_us) / 1e3,
             "sim_io_us_per_op": det["sim_us"] / n,
             "write_amp": det["writes"] * PAGE_SIZE / self.user_bytes,
@@ -496,9 +517,12 @@ class WorkloadRun:
             "ops": self.ops_done,
         }
 
-    def per_layer(self, spans: SpanTable, untraced: "WorkloadRun") -> Dict[str, float]:
+    def per_layer(
+        self, spans: SpanTable, untraced: "WorkloadRun", raw: bool = False
+    ) -> Dict[str, float]:
         """Per-layer metrics of this (traced) run; ``untraced`` is the
-        same workload measured without tracing in the same process."""
+        same workload measured without tracing in the same process.
+        Host times are normalized unless ``raw``."""
         n = self.workload.det_ops
         det = self.meter.totals
         reflections = det["case1"] + det["case2"] + det["case3"]
@@ -516,7 +540,7 @@ class WorkloadRun:
 
         # Span times are raw host time: scale them like the end-to-end
         # figures (see perfbench/calibrate.py).
-        speed = self.speed
+        speed = 1.0 if raw else self.speed
 
         def self_us(names: List[str]) -> float:
             return spans.mean_self_us(names) * speed
@@ -525,7 +549,9 @@ class WorkloadRun:
             return spans.mean_total_us(names) * speed
 
         stall_p999 = percentile(sorted(self.meter.stalls), 99.9)
-        eviction_p99 = percentile(sorted(untraced.meter.eviction_stalls), 99) * untraced.speed
+        eviction_p99 = percentile(sorted(untraced.meter.eviction_stalls), 99) * (
+            1.0 if raw else untraced.speed
+        )
         return {
             "storage.pool_hit_ratio": ratio(det["pool_hits"], accesses),
             "storage.get_page_self_us": self_us(["storage.get_page"]),
@@ -573,7 +599,7 @@ class WorkloadRun:
             "flash.programs_per_op": det["writes"] / n,
             "flash.erases_per_op": det["erases"] / n,
             "flash.checksum_checks_per_op": det["checksum_checks"] / n,
-            "trace.ops_per_s_delta": self.ops_per_s - untraced.ops_per_s,
+            "trace.ops_per_s_delta": self.ops_per_s(raw) - untraced.ops_per_s(raw),
             "trace.span_coverage": spans.coverage(),
         }
 

@@ -6,11 +6,13 @@ Usage (from the repository root)::
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the
 per-layer metrics of a traced run (preceded, in the same process, by an
-untraced run whose throughput gives the tracing overhead).  The last
-line of standard output is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``; the lines before it are the
-same figures as a table with units and clocks.  The exit code is 0 only
-when every output check passed.
+untraced run whose throughput gives the tracing overhead); the traced
+run also writes every span it recorded to
+``.perfbench-out/spans-<workload>.csv.gz``.  The last line of standard
+output is one JSON object with the keys ``correct``, ``attempted``,
+``failed`` and ``metrics``; the lines before it are the same figures as
+a table with units and clocks, normalized host times beside raw ones.
+The exit code is 0 only when every output check passed.
 
 The engine is imported from ``src/`` next to this directory; without it
 the benchmark exits with code 2 and prints no result.
@@ -19,6 +21,7 @@ the benchmark exits with code 2 and prints no result.
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import shutil
 import sys
@@ -38,27 +41,32 @@ def _parse(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--spans-out", help="also write every recorded span to this CSV file (--trace 1)"
-    )
     return parser.parse_args(argv)
 
 
-def _table(rows, definitions) -> None:
+def _table(rows, raw_rows, definitions) -> None:
+    """One line per metric: normalized value, raw value (host-clock
+    metrics only differ), unit and clock."""
     clocks = {m.name: (m.unit, m.clock) for m in definitions}
     for name, value in rows.items():
         unit, clock = clocks.get(name, ("ratio", "-"))
-        print(f"  {name:34s} {value:16.6g}  {unit:6s} {clock}")
+        raw = raw_rows.get(name, value)
+        print(f"  {name:34s} {value:16.6g} {raw:16.6g}  {unit:6s} {clock}")
 
 
-def _write_spans(tracer, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_spans(tracer, path: Path) -> None:
+    """Every recorded span as gzip-compressed CSV (about 15 bytes a span)."""
+    path.parent.mkdir(exist_ok=True)
+    names = tracer.names
+    with gzip.open(path, "wt", encoding="utf-8", compresslevel=1) as fh:
         fh.write("name,start_ns,end_ns,parent,op\n")
-        for i in range(len(tracer)):
-            fh.write(
-                f"{tracer.names[tracer.name_of[i]]},{tracer.starts[i]},"
-                f"{tracer.ends[i]},{tracer.parents[i]},{tracer.ops[i]}\n"
-            )
+        for lo in range(0, len(tracer), 65536):
+            hi = min(lo + 65536, len(tracer))
+            fh.write("".join(
+                f"{names[tracer.name_of[i]]},{tracer.starts[i]},{tracer.ends[i]},"
+                f"{tracer.parents[i]},{tracer.ops[i]}\n"
+                for i in range(lo, hi)
+            ))
 
 
 def _stop_resource_tracker() -> None:
@@ -78,6 +86,7 @@ def main(argv=None) -> int:
         print(f"perfbench: engine sources not found under {SRC}", file=sys.stderr)
         return 2
 
+    from perfbench import calibrate
     from perfbench.metrics import END_TO_END, PER_LAYER
     from perfbench.replay import WorkloadRun, log, pin_to_one_cpu
     from perfbench.tracer import SpanTable, Tracer
@@ -117,11 +126,14 @@ def main(argv=None) -> int:
                 tracer.uninstall()
             spans = SpanTable(tracer, workload.det_ops)
             metrics = traced.per_layer(spans, run)
+            raw_metrics = traced.per_layer(spans, run, raw=True)
             definitions = PER_LAYER
-            if args.spans_out:
-                _write_spans(tracer, args.spans_out)
+            spans_path = ROOT / ".perfbench-out" / f"spans-{workload.name}.csv.gz"
+            _write_spans(tracer, spans_path)
+            log(f"perfbench: {len(tracer)} spans written to {spans_path.relative_to(ROOT)}")
         else:
             metrics = run.end_to_end()
+            raw_metrics = run.end_to_end(raw=True)
             definitions = END_TO_END
     finally:
         for finished in runs:
@@ -141,14 +153,15 @@ def main(argv=None) -> int:
     counts = run.sample_counts()
     print(
         f"{workload.name} seed {args.seed}: {counts['ops']} ops in "
-        f"{run.window_s:.2f} s (normalization factor {run.speed:.3f}); "
+        f"{run.window_s:.2f} s (normalization factor {run.speed:.3f}, "
+        f"{calibrate.discarded} reference-kernel samples discarded); "
         f"samples: reads {counts['reads']}, "
         f"updates {counts['updates']}, commits {counts['commits']}, "
         f"restarts {counts['restarts']}, setups {counts['setups']}"
     )
-    print(f"  {'metric':34s} {'value':>16s}  {'unit':6s} clock")
-    _table(metrics, definitions)
-    _table({"failed_op_ratio": failed / max(1, attempted)}, ())
+    print(f"  {'metric':34s} {'value':>16s} {'raw':>16s}  {'unit':6s} clock")
+    _table(metrics, raw_metrics, definitions)
+    _table({"failed_op_ratio": failed / max(1, attempted)}, {}, ())
     print(json.dumps({
         "correct": failed == 0,
         "attempted": max(1, attempted),

@@ -7,12 +7,11 @@ amplification, the per-op and ratio counters of core, ftl, ext and
 flash) to repeat exactly; any drift is flagged and the exit code is 1.
 A third run on a second seed is printed beside them for reference.
 
-    python3 perfbench/selfcheck.py --seed 1 --second-seed 2
+    python3 perfbench/selfcheck.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
@@ -26,11 +25,17 @@ for _path in (str(ROOT / "src"), str(ROOT)):
 from perfbench.metrics import deterministic_names  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
+#: Timed window of each run; the deterministic first pass always runs whole.
+SECONDS = 1
 
-def _run(workload: str, seed: int, trace: int, seconds: float) -> dict:
+#: The seed run twice, and the second seed recorded beside it.
+SEED, SECOND_SEED = 1, 2
+
+
+def _run(workload: str, seed: int, trace: int) -> dict:
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -38,23 +43,16 @@ def _run(workload: str, seed: int, trace: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--second-seed", type=int, default=2)
-    parser.add_argument("--seconds", type=float, default=1.0,
-                        help="timed window; the deterministic first pass always runs whole")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    args = parser.parse_args(argv)
+def main() -> int:
     wanted = set(deterministic_names())
     drift = 0
-    print(f"{'workload':14s} {'metric':34s} {'seed ' + str(args.seed):>14s} "
-          f"{'repeat':>14s} {'seed ' + str(args.second_seed):>14s}")
-    for workload in args.workload or list(WORKLOADS):
+    print(f"{'workload':14s} {'metric':34s} {'seed ' + str(SEED):>14s} "
+          f"{'repeat':>14s} {'seed ' + str(SECOND_SEED):>14s}")
+    for workload in WORKLOADS:
         for trace in (0, 1):
-            first = _run(workload, args.seed, trace, args.seconds)
-            again = _run(workload, args.seed, trace, args.seconds)
-            other = _run(workload, args.second_seed, trace, args.seconds)
+            first = _run(workload, SEED, trace)
+            again = _run(workload, SEED, trace)
+            other = _run(workload, SECOND_SEED, trace)
             for name in sorted(wanted & set(first)):
                 a, b = first[name]["value"], again[name]["value"]
                 flag = "" if a == b else "  DRIFT"

@@ -7,19 +7,22 @@ Run from the repository root: ``python -m pytest perfbench/tests -q``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from perfbench import calibrate
 from perfbench.metrics import END_TO_END, PER_LAYER, percentile
 from perfbench.replay import WorkloadRun
-from perfbench.tracer import SpanTable, Tracer, self_times
+from perfbench.tracer import OP_SPANS, SpanTable, Tracer, self_times
 from perfbench.workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -141,6 +144,22 @@ def test_tiny_workload_runs_clean(name, tmp_path):
     assert set(metrics) == {m.name for m in END_TO_END}
     for name_, value in metrics.items():
         assert math.isfinite(value) and value > 0, name_
+    assert set(run.end_to_end(raw=True)) == set(metrics)
+
+
+def test_final_check_reads_every_page_from_storage(tmp_path):
+    """The end-of-window comparison runs on a reopened database, so every
+    page it reads is a buffer-pool miss served by the engine."""
+    workload = _tiny("hot-fit")
+    run = WorkloadRun(workload, seed=3, workdir=str(tmp_path))
+    run.setup(repeats=1)
+    measured = run.db
+    run.measure(0.0)
+    assert run.correct
+    assert run.db is not measured
+    assert run.db.pool.stats.hits == 0
+    assert run.db.pool.stats.misses == workload.n_pages
+    run.close()
 
 
 def test_tiny_traced_run_reports_every_layer_metric(tmp_path):
@@ -161,6 +180,16 @@ def test_tiny_traced_run_reports_every_layer_metric(tmp_path):
     finally:
         tracer.uninstall()
     assert traced.correct
+    # Every span of a timed op lies under that op's root span: nothing
+    # outside the ops (restarts, the final check) is charged to them.
+    names = [tracer.names[i] for i in tracer.name_of]
+    for i, op in enumerate(tracer.ops):
+        if op < 0:
+            continue
+        root = i
+        while tracer.parents[root] >= 0:
+            root = tracer.parents[root]
+        assert names[root] in OP_SPANS and tracer.ops[root] == op, names[i]
     metrics = traced.per_layer(SpanTable(tracer, workload.det_ops), untraced)
     assert set(metrics) == {m.name for m in PER_LAYER}
     for layer in ("storage.get_page_self_us", "core.read_page_self_us",
@@ -170,6 +199,72 @@ def test_tiny_traced_run_reports_every_layer_metric(tmp_path):
     assert 0 < metrics["trace.span_coverage"] <= 1
     # Counts are identical to the untraced run's: tracing only observes.
     assert traced.meter.totals == untraced.meter.totals
+
+
+# ----------------------------------------------------------------------
+# Host-speed normalization
+# ----------------------------------------------------------------------
+def test_kernel_discards_samples_that_shared_the_cpu(monkeypatch):
+    samples = iter([(1_000_000, 400_000, 0), (1_000_000, 0, 300_000), (1_000_001, 0, 0)])
+    monkeypatch.setattr(calibrate, "_kernel_sample", lambda: next(samples))
+    before = calibrate.discarded
+    assert calibrate._kernel_ns() == 1_000_001
+    assert calibrate.discarded == before + 2
+
+    monkeypatch.setattr(calibrate, "_kernel_sample", lambda: (1_000_000, 400_000, 0))
+    with pytest.raises(RuntimeError, match="in a row shared the CPU"):
+        calibrate._kernel_ns()
+
+
+_BUSY = {
+    # Hashing a large buffer releases the GIL: the thread uses CPU while
+    # the kernel holds the GIL.
+    "thread": (
+        "import hashlib, threading\n"
+        "stop = threading.Event()\n"
+        "def spin():\n"
+        "    while not stop.is_set():\n"
+        "        hashlib.sha256(bytes(1 << 20)).digest()\n"
+        "worker = threading.Thread(target=spin)\n"
+        "worker.start()\n"
+        "def halt():\n"
+        "    stop.set()\n"
+        "    worker.join()\n"
+    ),
+    "child": (
+        "import subprocess, sys\n"
+        "worker = subprocess.Popen([sys.executable, '-c', 'while True: pass'])\n"
+        "def halt():\n"
+        "    worker.kill()\n"
+        "    worker.wait()\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUSY))
+def test_busy_background_work_is_detected(kind):
+    """As in a benchmark run, this process and its background work share
+    one CPU (in a subprocess, so the test process stays unpinned): the
+    kernel samples the background work ran into are discarded, and
+    clean samples are still found between its time slices."""
+    script = (
+        "import os\n"
+        "from perfbench import calibrate\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        + _BUSY[kind]
+        + "try:\n"
+        "    samples = [calibrate._kernel_ns() for _ in range(20)]\n"
+        "finally:\n"
+        "    halt()\n"
+        "print(calibrate.discarded, min(samples))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    discarded, fastest = done.stdout.split()
+    assert int(discarded) > 0
+    assert int(fastest) > 0
 
 
 # ----------------------------------------------------------------------

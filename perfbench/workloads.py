@@ -50,7 +50,6 @@ class Workload:
     shards: int = 1
     executor: str = "serial"
     mapping_cache: Optional[int] = None
-    why: str = ""
 
     def spec(self) -> FlashSpec:
         return FlashSpec(n_blocks=self.blocks_per_shard, page_data_size=PAGE_SIZE)
@@ -81,6 +80,8 @@ class Workload:
         return list(range(self.crash_every, self.det_ops + 1, self.crash_every))
 
 
+#: The workloads, in ``BENCHMARK.json``'s order; the reason for each is
+#: its ``why`` there.
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
@@ -91,10 +92,7 @@ WORKLOADS: Dict[str, Workload] = {
             pool_frames=2048,
             blocks_per_shard=48,
             det_ops=200_000,
-            crash_every=40_000,
-            why="YCSB-B 95/5 zipf 0.99, 2048 x 2 KB pages, 2048-frame pool (data "
-            "fits), 1 serial shard, 48 blocks: pool and page API serve almost "
-            "every op; the engine runs at commits",
+            crash_every=10_000,
         ),
         Workload(
             name="engine-miss",
@@ -103,10 +101,7 @@ WORKLOADS: Dict[str, Workload] = {
             pool_frames=64,
             blocks_per_shard=48,
             det_ops=60_000,
-            crash_every=12_000,
-            why="YCSB-A 50/50 zipf 0.99, 2048 x 2 KB pages, 64-frame pool (data "
-            "32x pool), 1 serial shard, 48 blocks (67% full): core, ftl and flash "
-            "work; GC cycles the device",
+            crash_every=3_000,
         ),
         Workload(
             name="sharded-proc",
@@ -117,10 +112,7 @@ WORKLOADS: Dict[str, Workload] = {
             shards=2,
             executor="process",
             det_ops=60_000,
-            crash_every=12_000,
-            why="engine-miss's stream and sizes over 2 shards on the process "
-            "executor (24 blocks each): same engine work, so the difference "
-            "from engine-miss is the executor hop",
+            crash_every=6_000,
         ),
         Workload(
             name="crash-restart",
@@ -129,11 +121,8 @@ WORKLOADS: Dict[str, Workload] = {
             pool_frames=64,
             blocks_per_shard=48,
             mapping_cache=256,
-            crash_every=500,
+            crash_every=250,
             det_ops=40_000,
-            why="YCSB-A, 2048 pages, 64-frame pool, mapping tier with a "
-            "256-entry cache (8x under the table), 1 serial shard, crashed "
-            "every 500 ops: journal, demand paging, restart",
         ),
     )
 }
