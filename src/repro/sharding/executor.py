@@ -195,7 +195,6 @@ def make_executor(
     n_workers: Optional[int] = None,
     factories=None,
     name: str = "shard",
-    frames_per_worker: int = 64,
 ):
     """Build a shard executor of the requested kind.
 
@@ -233,9 +232,7 @@ def make_executor(
                 f"n_workers={n_workers} disagrees with "
                 f"{len(list(factories))} shard factories"
             )
-        return ProcessShardExecutor(
-            factories, name=name, frames_per_worker=frames_per_worker
-        )
+        return ProcessShardExecutor(factories, name=name)
     raise ConfigurationError(
         f"unknown executor kind {kind!r}; expected 'thread' or 'process'"
     )

@@ -13,18 +13,19 @@ table updates, GC) runs on separate cores:
   instead of a live driver is what spawn-safety means here: nothing
   crosses the process boundary except plain data.
 * :class:`ProcessShardExecutor` — one spawned worker process per shard,
-  honoring the thread executor's mailbox/futures contract: tasks are
-  submitted to a per-shard mailbox, return
-  :class:`~concurrent.futures.Future` objects, and execute in FIFO
-  order on their shard's single writer.  A parent-side *channel thread*
-  per worker drains the mailbox and speaks the pipe protocol.
+  honoring the thread executor's submit/result contract.  There are no
+  parent-side threads: the *calling* thread sends each command down the
+  worker's pipe and reads the reply itself, under a per-worker lock
+  held from the first command to the last reply.  Fan-outs take the
+  locks of their workers in ascending shard index and send every worker
+  its command before collecting any reply, so workers still overlap.
 * **Shared-memory page frames** — page payloads travel through a
   per-worker :class:`multiprocessing.shared_memory.SharedMemory` ring
-  (``frames_per_worker`` frames of one page each), not through pickle.
-  A batch larger than the ring is sent in ring-sized chunks.  Because a
-  channel thread has at most one command in flight, frames are reusable
-  the moment the worker's reply arrives (see ``docs/concurrency.md``
-  for the full frame lifecycle).
+  (:data:`FRAMES_PER_WORKER` frames of one page each), not through
+  pickle.  A batch larger than the ring is sent in ring-sized chunks.
+  Because the lock allows at most one command in flight per worker,
+  frames are reusable the moment the worker's reply arrives (see
+  ``docs/concurrency.md`` for the full frame lifecycle).
 * :class:`ProcessShardedDriver` — the
   :class:`~repro.sharding.driver.ShardedDriver`-shaped façade on top:
   same routing, batched fan-out, fsck/GC/wear reporting and label
@@ -45,11 +46,9 @@ from __future__ import annotations
 import pickle
 import threading
 import traceback
-from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context, shared_memory
-from queue import SimpleQueue
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..flash.spec import FlashSpec
@@ -60,8 +59,9 @@ from .executor import gather
 from .router import HashRouter, ShardRouter
 from .stats import AggregateStats
 
-#: Sentinel dropped into a mailbox to stop its channel thread.
-_STOP = None
+#: Page frames in each worker's shared-memory ring; a batch larger
+#: than the ring is sent in ring-sized chunks.
+FRAMES_PER_WORKER = 64
 
 
 class WorkerCrashError(ConcurrencyError):
@@ -401,12 +401,7 @@ def _op_final_state(driver):
 
 def _op_dump_image(driver):
     """Flash image of the shard's chip, for equivalence testing."""
-    chip = driver.chip
-    pages = {}
-    for addr in chip.iter_programmed_pages():
-        pages[addr] = (chip.peek_data(addr), chip.peek_spare(addr))
-    erases = [chip.erase_count(b) for b in range(chip.spec.n_blocks)]
-    return {"pages": pages, "erase_counts": erases}
+    return dump_chip_image(driver.chip)
 
 
 def dump_chip_image(chip) -> Dict[str, object]:
@@ -421,53 +416,175 @@ def dump_chip_image(chip) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Parent-side executor
 # ----------------------------------------------------------------------
-def _await_reply(conn):
-    msg = conn.recv()  # EOFError handled by the channel loop
-    if msg[0] == "error":
-        exc, tb = msg[1], msg[2]
-        if tb and hasattr(exc, "add_note"):
-            exc.add_note(f"shard worker traceback:\n{tb}")
-        raise exc
-    return msg[1]
+def _worker_error(msg) -> BaseException:
+    """The exception carried by an ``("error", exc, traceback)`` reply."""
+    exc, tb = msg[1], msg[2]
+    if tb and hasattr(exc, "add_note"):
+        exc.add_note(f"shard worker traceback:\n{tb}")
+    return exc
 
 
-def _call_task(phase, fn, args, kwargs):
-    def task(conn, _buf):
-        conn.send(("call", phase, fn, args, kwargs))
-        return _await_reply(conn)
+# Tasks are generator functions ``task(frame_buf, *args)``: each value
+# a task yields is one command for its worker, the worker's reply is
+# sent back in, and the task's return value is the exchange's result.
+def _call(_buf, phase, fn, args, kwargs):
+    return (yield ("call", phase, fn, args, kwargs))
 
-    return task
+
+def _read(buf, phase, pid):
+    n = yield ("read_page", phase, pid)
+    return bytes(buf[:n])
 
 
-def _stop_task(conn, _buf):
-    conn.send(("stop",))
-    try:
-        conn.recv()
-    except EOFError:
-        pass
+def _check_fits(n: int, cap: int) -> None:
+    if n > cap:
+        raise ConfigurationError(
+            f"page of {n} bytes exceeds the {cap}-byte shared-memory frame ring"
+        )
+
+
+def _put_page(buf, op, phase, pid, data, logs):
+    """``write_page``/``load_page``: one page through frame 0."""
+    n = len(data)
+    _check_fits(n, len(buf))
+    buf[:n] = data
+    yield (op, phase, pid, n, logs)
+
+
+def _put_batch(buf, op, phase, group, logs, do_flush):
+    """Send a page batch through the frame ring, chunked to its size."""
+    cap = len(buf)
+    i = 0
+    while i < len(group):
+        metas = []
+        off = 0
+        j = i
+        while j < len(group):
+            pid, data = group[j]
+            n = len(data)
+            _check_fits(n, cap)
+            if off + n > cap:
+                break
+            buf[off : off + n] = data
+            metas.append((pid, off, n))
+            off += n
+            j += 1
+        if op == "write_pages":
+            chunk_logs = None
+            if logs is not None:
+                chunk_logs = {pid: logs[pid] for pid, _o, _n in metas if pid in logs}
+            yield (op, phase, metas, chunk_logs)
+        else:
+            yield (op, phase, metas)
+        i = j
+    if do_flush:
+        yield ("call", phase, _op_flush, (), {})
+
+
+class _Exchange:
+    """One task's command sequence on one worker, driven by its caller.
+
+    :meth:`ProcessShardExecutor.submit_task` creates it with the
+    worker's lock held and the first command sent; each :meth:`step`
+    receives one reply and sends the task's next command.  The lock is
+    released the moment the task returns or fails, so a worker never
+    has more than one command in flight.
+    """
+
+    __slots__ = ("index", "done", "_gen", "_conn", "_lock", "_held", "_value", "_exc")
+
+    def __init__(self, index: int, gen, conn, lock, held: List["_Exchange"]):
+        self.index = index
+        self.done = False
+        self._gen = gen
+        self._conn = conn
+        self._lock = lock
+        self._held = held
+        self._value: object = None
+        self._exc: Optional[BaseException] = None
+
+    def _finish(self, value: object, exc: Optional[BaseException]) -> None:
+        self._gen.close()  # no-op once the task has returned or raised
+        self.done = True
+        self._value = value
+        self._exc = exc
+        self._lock.release()
+        self._held.remove(self)
+
+    def _lost(self, exc: BaseException) -> BaseException:
+        """A pipe that fails (EOF, broken, reset) means the worker died."""
+        if not isinstance(exc, (EOFError, OSError)):
+            return exc  # e.g. an unpicklable command: nothing was sent
+        crash = WorkerCrashError(f"shard worker {self.index} died mid-command")
+        # Drop the pipe frames: they pin the pickled command's buffer.
+        crash.__cause__ = exc.with_traceback(None)
+        return crash
+
+    def _advance(self, reply: object) -> None:
+        try:
+            command = self._gen.send(reply)
+        except StopIteration as stop:
+            self._finish(stop.value, None)
+            return
+        except BaseException as exc:
+            self._finish(None, exc)
+            return
+        try:
+            self._conn.send(command)
+        except BaseException as exc:
+            self._finish(None, self._lost(exc))
+
+    def step(self) -> None:
+        """Receive one reply and send the next command (never raises)."""
+        try:
+            reply = self._conn.recv()
+        except BaseException as exc:
+            self._finish(None, self._lost(exc))
+            return
+        if reply[0] == "error":
+            self._finish(None, _worker_error(reply))
+        else:
+            self._advance(reply[1])
+
+    def result(self) -> object:
+        """Drive the exchange to its end; return or raise its outcome."""
+        while not self.done:
+            self.step()
+        if self._exc is not None:
+            raise self._exc
+        return self._value
+
+
+class _Held(threading.local):
+    """Per thread: its exchanges that still hold a worker lock."""
+
+    def __init__(self) -> None:
+        self.exchanges: List[_Exchange] = []
 
 
 class ProcessShardExecutor:
-    """One spawned worker process per shard, mailbox/futures on top.
+    """One spawned worker process per shard, driven by the callers.
 
     Mirrors :class:`~repro.sharding.executor.ShardExecutor`'s contract —
-    per-shard FIFO mailboxes, ``Future`` results, ``map``/``gather``
-    fan-out/join — with the execution surface adapted to the process
-    boundary: a submitted callable must be *picklable* and is invoked
-    in the worker as ``fn(driver, *args, **kwargs)`` against the shard
-    driver the worker built from its :class:`ShardFactory`.
+    ``submit``/``run``/``map``/``broadcast``, handles with ``result()``
+    — with the execution surface adapted to the process boundary: a
+    submitted callable must be *picklable* and is invoked in the worker
+    as ``fn(driver, *args, **kwargs)`` against the shard driver the
+    worker built from its :class:`ShardFactory`.
 
-    One parent channel thread per worker drains the mailbox and speaks
-    the pipe protocol synchronously, so a worker has at most one
-    command in flight — which is what makes the shared-memory frame
-    ring trivially reusable between commands.
+    There are no parent-side threads.  The calling thread speaks the
+    worker's pipe itself, holding that worker's lock from its first
+    command until its last reply, so a worker has at most one command
+    in flight — which is what makes the shared-memory frame ring
+    reusable between commands.  A thread waits only for a worker lock
+    above every lock it already holds (see :meth:`submit_task`), so
+    concurrent fan-outs cannot deadlock.
     """
 
     def __init__(
         self,
         factories: Sequence[ShardFactory],
         name: str = "shard-proc",
-        frames_per_worker: int = 64,
         start_timeout_s: float = 120.0,
     ):
         self.factories = list(factories)
@@ -475,19 +592,17 @@ class ProcessShardExecutor:
             raise ConfigurationError(
                 "ProcessShardExecutor needs at least one shard factory"
             )
-        if frames_per_worker < 1:
-            raise ConfigurationError("frames_per_worker must be at least 1")
         ctx = get_context("spawn")
         n = len(self.factories)
-        self._mailboxes: List[SimpleQueue] = [SimpleQueue() for _ in range(n)]
-        self._threads: List[threading.Thread] = []
+        self._locks = [threading.Lock() for _ in range(n)]
+        self._held = _Held()
         self._procs: List = []
         self._conns: List = []
         self._shms: List[shared_memory.SharedMemory] = []
         self._shutdown = False
         self._shutdown_started = False
         self._reaped = False
-        self._submit_lock = threading.Lock()
+        self._state_lock = threading.Lock()
         self._finalizers: List[Callable[[], None]] = []
         #: Per-worker build metadata from the ready handshake (driver
         #: name, page size, effective_max, recovery report).
@@ -500,7 +615,7 @@ class ProcessShardExecutor:
                 # what raised.
                 frame = max(1, factory.spec.page_data_size)
                 shm = shared_memory.SharedMemory(
-                    create=True, size=frame * frames_per_worker
+                    create=True, size=frame * FRAMES_PER_WORKER
                 )
                 self._shms.append(shm)
                 parent_conn, child_conn = ctx.Pipe()
@@ -528,102 +643,89 @@ class ProcessShardExecutor:
                 try:
                     msg = conn.recv()
                 except EOFError:
-                    raise WorkerCrashError(
-                        f"shard worker {i} died during startup"
-                    ) from None
+                    raise WorkerCrashError(f"shard worker {i} died during startup") from None
                 if msg[0] == "error":
-                    exc, tb = msg[1], msg[2]
-                    if tb and hasattr(exc, "add_note"):
-                        exc.add_note(f"shard worker traceback:\n{tb}")
-                    raise exc
+                    raise _worker_error(msg)
                 self.meta[i] = msg[1]
         except BaseException:
             self._reap(force=True)
             raise
-        for i in range(n):
-            thread = threading.Thread(
-                target=self._channel,
-                args=(i,),
-                name=f"{name}-chan-{i}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    # ------------------------------------------------------------------
-    # Channel threads
-    # ------------------------------------------------------------------
-    def _channel(self, index: int) -> None:
-        conn = self._conns[index]
-        buf = self._shms[index].buf
-        mailbox = self._mailboxes[index]
-        while True:
-            item = mailbox.get()
-            if item is _STOP:
-                return
-            future, task = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                result = task(conn, buf)
-            except (EOFError, BrokenPipeError, ConnectionResetError):
-                future.set_exception(
-                    WorkerCrashError(f"shard worker {index} died mid-command")
-                )
-            except BaseException as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     @property
     def n_workers(self) -> int:
-        return len(self._mailboxes)
+        return len(self._locks)
 
     @property
     def is_shutdown(self) -> bool:
         return self._shutdown_started
 
-    def submit_task(self, index: int, task: Callable) -> Future:
-        """Enqueue a raw ``task(conn, frame_buf)`` on a channel thread.
+    def submit_task(self, index: int, task: Callable, *args) -> _Exchange:
+        """Start generator task ``task(frame_buf, *args)`` on worker ``index``.
 
-        The task runs on worker ``index``'s channel thread with
-        exclusive use of that worker's pipe and frame ring; everything
-        else builds on this.
+        The calling thread takes the worker's lock and sends the task's
+        first command; the returned exchange's ``result()`` collects the
+        replies and releases the lock.  Every worker command sequence
+        enters here.  Any exchange this thread still holds on worker
+        ``index`` or above is finished first, so the thread only ever
+        waits for a lock higher than all the locks it holds.
         """
-        if not 0 <= index < len(self._mailboxes):
-            raise ValueError(
-                f"worker index {index} outside pool of {len(self._mailboxes)}"
-            )
-        future: Future = Future()
-        with self._submit_lock:
-            if self._shutdown:
-                raise ConcurrencyError("executor is shut down")
-            self._mailboxes[index].put((future, task))
-        return future
+        if not 0 <= index < len(self._locks):
+            raise ValueError(f"worker index {index} outside pool of {len(self._locks)}")
+        held = self._held.exchanges
+        if held:
+            _drive([ex for ex in held if ex.index >= index])
+        lock = self._locks[index]
+        lock.acquire()
+        if self._shutdown:
+            lock.release()
+            raise ConcurrencyError("executor is shut down")
+        exchange = _Exchange(
+            index, task(self._shms[index].buf, *args), self._conns[index], lock, held
+        )
+        held.append(exchange)
+        exchange._advance(None)
+        return exchange
 
-    def submit(self, index: int, fn: Callable, *args, **kwargs) -> Future:
-        """Enqueue picklable ``fn(driver, *args, **kwargs)`` on a worker."""
-        return self.submit_task(index, _call_task(None, fn, args, kwargs))
+    def run_tasks(self, calls: Sequence[Tuple[int, Callable, tuple]]) -> List[object]:
+        """Run ``(index, task, args)`` exchanges concurrently; join all.
+
+        Exchanges start in ascending worker order (the lock order), so
+        every worker has its first command before any reply is awaited;
+        replies are then collected round-robin, which keeps workers
+        overlapping through chunked batches.  Results come back in
+        ``calls`` order; the first failure is re-raised once every
+        exchange has finished and released its lock.
+        """
+        order = sorted(range(len(calls)), key=lambda k: calls[k][0])
+        exchanges: List[Optional[_Exchange]] = [None] * len(calls)
+        try:
+            for k in order:
+                index, task, args = calls[k]
+                exchanges[k] = self.submit_task(index, task, *args)
+        finally:
+            _drive([ex for ex in exchanges if ex is not None])
+        return gather(exchanges)
+
+    def submit(self, index: int, fn: Callable, *args, **kwargs) -> _Exchange:
+        """Start picklable ``fn(driver, *args, **kwargs)`` on a worker."""
+        return self.submit_task(index, _call, None, fn, args, kwargs)
 
     def run(self, index: int, fn: Callable, *args, **kwargs):
-        """Submit to worker ``index`` and wait for the result."""
+        """Run ``fn(driver, ...)`` on worker ``index`` and return its result."""
         return self.submit(index, fn, *args, **kwargs).result()
 
     def map(self, tasks: Sequence[Tuple[int, Callable]]) -> List[object]:
         """Run ``(worker index, fn)`` calls concurrently; join all."""
-        futures = [self.submit(index, fn) for index, fn in tasks]
-        return gather(futures)
+        return self.run_tasks([(index, _call, (None, fn, (), {})) for index, fn in tasks])
 
     def broadcast(self, fn: Callable, *args, **kwargs) -> List[object]:
         """Run ``fn(driver, ...)`` on every worker concurrently."""
-        futures = [
-            self.submit(i, fn, *args, **kwargs)
-            for i in range(len(self._mailboxes))
-        ]
-        return gather(futures)
+        return self.run_tasks(
+            [(i, _call, (None, fn, args, kwargs)) for i in range(self.n_workers)]
+        )
 
     def add_finalizer(self, fn: Callable[[], None]) -> None:
         """Register a hook to run (once) at shutdown, before workers stop.
@@ -639,14 +741,14 @@ class ProcessShardExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Drain mailboxes, stop workers, reap processes.  Idempotent.
+        """Stop workers once their in-flight commands finish; reap.
 
-        ``shutdown(wait=False)`` only initiates the stop; a later
-        ``shutdown()`` (or ``__exit__``) still reaps — the
+        Idempotent.  ``shutdown(wait=False)`` stops the workers but
+        leaves reaping to a later ``shutdown()`` (or ``__exit__``) — the
         started/reaped states are tracked separately so no call order
         can leak processes or shared-memory segments.
         """
-        with self._submit_lock:
+        with self._state_lock:
             already_started = self._shutdown_started
             self._shutdown_started = True
         if not already_started:
@@ -657,31 +759,28 @@ class ProcessShardExecutor:
                 # dead worker must not block reaping the rest
                 except Exception:
                     pass
-            stop_futures = []
-            with self._submit_lock:
-                self._shutdown = True
-                for mailbox in self._mailboxes:
-                    future: Future = Future()
-                    mailbox.put((future, _stop_task))
-                    stop_futures.append(future)
-                    mailbox.put(_STOP)
-            for future in stop_futures:
+            _drive(list(self._held.exchanges))
+            self._shutdown = True
+            for lock, conn in zip(self._locks, self._conns):
+                # A command wedged past the timeout leaves its worker to
+                # _reap's terminate path.
+                if not lock.acquire(timeout=30):
+                    continue
                 try:
-                    future.result(timeout=30)
-                # repro: allow[bare-except] -- a worker that died mid-stop is
-                # handled by _reap's terminate path; errors surfaced earlier
-                except Exception:
-                    pass
+                    conn.send(("stop",))
+                    conn.recv()
+                except (EOFError, OSError):
+                    pass  # already dead; _reap joins it
+                finally:
+                    lock.release()
         if wait:
             self._reap()
 
     def _reap(self, force: bool = False) -> None:
-        with self._submit_lock:
+        with self._state_lock:
             if self._reaped:
                 return
             self._reaped = True
-        for thread in self._threads:
-            thread.join(timeout=30)
         for proc in self._procs:
             if force:
                 proc.terminate()
@@ -711,75 +810,13 @@ class ProcessShardExecutor:
         self.shutdown()
 
 
-def _batch_task(op, group, logs, phase, do_flush):
-    """Send a page batch through the frame ring, chunked to its size."""
-
-    def task(conn, buf):
-        cap = len(buf)
-        i = 0
-        while i < len(group):
-            metas = []
-            off = 0
-            j = i
-            while j < len(group):
-                pid, data = group[j]
-                n = len(data)
-                if n > cap:
-                    raise ConfigurationError(
-                        f"page of {n} bytes exceeds the {cap}-byte "
-                        "shared-memory frame ring"
-                    )
-                if off + n > cap:
-                    break
-                buf[off : off + n] = data
-                metas.append((pid, off, n))
-                off += n
-                j += 1
-            if op == "write_pages":
-                chunk_logs = None
-                if logs is not None:
-                    chunk_logs = {
-                        pid: logs[pid] for pid, _o, _n in metas if pid in logs
-                    }
-                conn.send((op, phase, metas, chunk_logs))
-            else:
-                conn.send((op, phase, metas))
-            _await_reply(conn)
-            i = j
-        if do_flush:
-            conn.send(("call", phase, _op_flush, (), {}))
-            _await_reply(conn)
-
-    return task
-
-
-def _page_task(op, phase, pid, data, logs):
-    """One page through frame 0 (single-op mailbox path)."""
-
-    def task(conn, buf):
-        n = len(data)
-        if n > len(buf):
-            raise ConfigurationError(
-                f"page of {n} bytes exceeds the {len(buf)}-byte "
-                "shared-memory frame ring"
-            )
-        buf[:n] = data
-        if op == "write_page":
-            conn.send((op, phase, pid, n, logs))
-        else:
-            conn.send((op, phase, pid, n))
-        return _await_reply(conn)
-
-    return task
-
-
-def _read_task(phase, pid):
-    def task(conn, buf):
-        conn.send(("read_page", phase, pid))
-        n = _await_reply(conn)
-        return bytes(buf[:n])
-
-    return task
+def _drive(exchanges: Sequence[_Exchange]) -> None:
+    """Finish every exchange, one reply from each in turn."""
+    pending = [ex for ex in exchanges if not ex.done]
+    while pending:
+        for exchange in pending:
+            exchange.step()
+        pending = [ex for ex in pending if not ex.done]
 
 
 # ----------------------------------------------------------------------
@@ -822,7 +859,7 @@ class ProcessAggregateStats:
         return stack[-1] if stack else DEFAULT_PHASE
 
     def _agg(self) -> AggregateStats:
-        return AggregateStats(self._driver._fetch_shard_stats())
+        return AggregateStats(self._driver._states("stats", _op_stats))
 
     def reset(self) -> None:
         self._driver._broadcast(_op_reset_stats)
@@ -852,11 +889,11 @@ class _RemoteChip:
 
     @property
     def clock_us(self) -> float:
-        return self._owner._chip_clock(self._index)
+        return self._owner._state(self._index, "clock_us", _op_clock)
 
     @property
     def stats(self):
-        return self._owner._shard_stats(self._index)
+        return self._owner._state(self._index, "stats", _op_stats)
 
     def sync(self) -> None:
         self._owner._run(self._index, _op_sync)
@@ -891,7 +928,6 @@ class ProcessShardedDriver:
         factories: Optional[Sequence[ShardFactory]] = None,
         router: Optional[ShardRouter] = None,
         executor: Optional[ProcessShardExecutor] = None,
-        frames_per_worker: int = 64,
     ):
         if executor is None:
             if not factories:
@@ -899,9 +935,7 @@ class ProcessShardedDriver:
                     "ProcessShardedDriver needs shard factories or a "
                     "running ProcessShardExecutor"
                 )
-            executor = ProcessShardExecutor(
-                factories, frames_per_worker=frames_per_worker
-            )
+            executor = ProcessShardExecutor(factories)
         self.executor = executor
         n = executor.n_workers
         self.router = router if router is not None else HashRouter(n)
@@ -941,41 +975,30 @@ class ProcessShardedDriver:
         return None if phase == DEFAULT_PHASE else phase
 
     def _run(self, index: int, fn: Callable, *args):
-        return self.executor.submit_task(
-            index, _call_task(self._phase(), fn, args, {})
-        ).result()
+        return self.executor.submit_task(index, _call, self._phase(), fn, args, {}).result()
 
     def _broadcast(self, fn: Callable, *args) -> List[object]:
-        phase = self._phase()
-        futures = [
-            self.executor.submit_task(i, _call_task(phase, fn, args, {}))
-            for i in range(self.n_shards)
-        ]
-        return gather(futures)
+        call = (self._phase(), fn, args, {})
+        return self.executor.run_tasks([(i, _call, call) for i in range(self.n_shards)])
 
     # ------------------------------------------------------------------
     # PageUpdateMethod contract — single-page paths
     # ------------------------------------------------------------------
-    def load_page(self, pid: int, data: bytes) -> None:
-        index = self.shard_index(pid)
+    def _put(self, op: str, pid: int, data: bytes, logs) -> None:
         self.executor.submit_task(
-            index, _page_task("load_page", self._phase(), pid, data, None)
+            self.shard_index(pid), _put_page, op, self._phase(), pid, data, logs
         ).result()
 
+    def load_page(self, pid: int, data: bytes) -> None:
+        self._put("load_page", pid, data, None)
+
     def read_page(self, pid: int) -> bytes:
-        index = self.shard_index(pid)
-        return self.executor.submit_task(
-            index, _read_task(self._phase(), pid)
-        ).result()
+        return self.executor.submit_task(self.shard_index(pid), _read, self._phase(), pid).result()
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
     ) -> None:
-        index = self.shard_index(pid)
-        self.executor.submit_task(
-            index,
-            _page_task("write_page", self._phase(), pid, data, update_logs),
-        ).result()
+        self._put("write_page", pid, data, update_logs)
 
     # ------------------------------------------------------------------
     # Fan-out paths
@@ -983,18 +1006,14 @@ class ProcessShardedDriver:
     def end_of_load(self) -> None:
         self._broadcast(_op_end_of_load)
 
-    def _split_by_shard(self, pages) -> Dict[int, List]:
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        return per_shard
-
     def _fan_out_batches(
         self, op: str, pages, update_logs, flush_all: bool
     ) -> None:
-        per_shard = self._split_by_shard(pages)
+        per_shard: Dict[int, List] = {}
+        for pid, data in pages:
+            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
         phase = self._phase()
-        futures = []
+        calls = []
         for index in range(self.n_shards) if flush_all else sorted(per_shard):
             group = per_shard.get(index, [])
             logs = None
@@ -1002,12 +1021,8 @@ class ProcessShardedDriver:
                 logs = {
                     pid: update_logs[pid] for pid, _ in group if pid in update_logs
                 }
-            futures.append(
-                self.executor.submit_task(
-                    index, _batch_task(op, group, logs, phase, flush_all)
-                )
-            )
-        gather(futures)
+            calls.append((index, _put_batch, (op, phase, group, logs, flush_all)))
+        self.executor.run_tasks(calls)
 
     def load_pages(self, pages) -> None:
         self._fan_out_batches("load_pages", pages, None, flush_all=False)
@@ -1075,40 +1090,25 @@ class ProcessShardedDriver:
             )
         return state
 
-    def _chip_clock(self, index: int) -> float:
+    def _state(self, index: int, key: str, op: Callable):
         if self.executor.is_shutdown:
-            return self._final(index)["clock_us"]
-        return self._run(index, _op_clock)
+            return self._final(index)[key]
+        return self._run(index, op)
 
-    def _shard_stats(self, index: int):
+    def _states(self, key: str, op: Callable) -> List:
         if self.executor.is_shutdown:
-            return self._final(index)["stats"]
-        return self._run(index, _op_stats)
-
-    def _fetch_shard_stats(self) -> List:
-        if self.executor.is_shutdown:
-            return [self._final(i)["stats"] for i in range(self.n_shards)]
-        return list(self._broadcast(_op_stats))
+            return [self._final(i)[key] for i in range(self.n_shards)]
+        return list(self._broadcast(op))
 
     def chip_clocks(self) -> List[float]:
-        if self.executor.is_shutdown:
-            return [self._final(i)["clock_us"] for i in range(self.n_shards)]
-        return list(self._broadcast(_op_clock))
+        return self._states("clock_us", _op_clock)
 
     def allocation_horizon(self) -> int:
         """Highest recovered pid + 1 across all shards (post-recovery)."""
-        if self.executor.is_shutdown:
-            horizons = [self._final(i)["horizon"] for i in range(self.n_shards)]
-        else:
-            horizons = self._broadcast(_op_horizon)
-        return max(horizons, default=0)
+        return max(self._states("horizon", _op_horizon), default=0)
 
     def differential_page_count(self) -> int:
-        if self.executor.is_shutdown:
-            return sum(
-                self._final(i)["differential_pages"] for i in range(self.n_shards)
-            )
-        return sum(self._broadcast(_op_diff_count))
+        return sum(self._states("differential_pages", _op_diff_count))
 
     def dump_images(self) -> List[Dict[str, object]]:
         """Per-shard flash images (equivalence testing; memory backends)."""
@@ -1153,10 +1153,7 @@ class ProcessShardedDriver:
 
     def gc_report(self) -> Dict[str, object]:
         """Aggregated space-management health across the array."""
-        if self.executor.is_shutdown:
-            per_shard = [self._final(i)["gc"] for i in range(self.n_shards)]
-        else:
-            per_shard = list(self._broadcast(_op_gc_info))
+        per_shard = self._states("gc", _op_gc_info)
         present = [entry for entry in per_shard if entry is not None]
         agg = self._stats._agg()
         return {
@@ -1171,7 +1168,7 @@ class ProcessShardedDriver:
 
     def wear_report(self) -> Dict[str, object]:
         """Aggregated wear: per-shard erase totals and worst block."""
-        shard_stats = self._fetch_shard_stats()
+        shard_stats = self._states("stats", _op_stats)
         per_shard = [stats.total_erases for stats in shard_stats]
         worst = max(
             (max(stats.block_erases, default=0) for stats in shard_stats),

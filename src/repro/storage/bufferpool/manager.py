@@ -96,7 +96,8 @@ class BufferManager:
 
         #: Serial drivers are not thread-safe; with a write-back daemon
         #: (a second thread) every driver call goes through this lock.
-        #: Parallel sharded drivers serialize in their shard mailboxes.
+        #: Parallel sharded drivers serialize per shard in their
+        #: executor (thread mailboxes, or process worker locks).
         parallel = getattr(driver, "executor", None) is not None
         self._driver_lock: Optional[threading.Lock] = None
 

@@ -15,6 +15,8 @@ docs/concurrency.md).
 import multiprocessing
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.ftl.errors import (
 from repro.methods import make_method
 from repro.sharding.executor import make_executor
 from repro.sharding.executor_proc import (
+    FRAMES_PER_WORKER,
     ProcessShardExecutor,
     ProcessShardedDriver,
     ShardFactory,
@@ -90,6 +93,14 @@ def _w_fail(driver):
 
 def _w_driver_label(driver):
     return driver.name
+
+
+def _assert_unlocked(executor):
+    assert not any(lock.locked() for lock in executor._locks)
+
+
+def _pid_on(driver, shard):
+    return next(pid for pid in range(N_PAGES) if driver.shard_index(pid) == shard)
 
 
 def _assert_reaped(executor):
@@ -403,3 +414,237 @@ class TestWorkerFailureHandling:
 
     def test_worker_crash_error_is_concurrency_error(self):
         assert issubclass(WorkerCrashError, ConcurrencyError)
+
+
+class TestFrameRing:
+    def test_batches_larger_than_the_ring_are_chunked(self):
+        # One shard, so every page of each batch goes through one ring.
+        spec = FlashSpec(n_blocks=48, pages_per_block=8, page_data_size=256, page_spare_size=16)
+        n_pages = 2 * FRAMES_PER_WORKER + 5
+        rng = random.Random(17)
+        model = {pid: rng.randbytes(PAGE) for pid in range(n_pages)}
+        driver = ProcessShardedDriver([ShardFactory(label="PDL (64B)", spec=spec)])
+        try:
+            driver.load_pages(model.items())
+            driver.end_of_load()
+            for pid in model:
+                model[pid] = model[pid][:-8] + rng.randbytes(8)
+            driver.write_pages(list(model.items()))
+            assert all(driver.read_page(pid) == data for pid, data in model.items())
+            for pid in model:
+                model[pid] = rng.randbytes(8) + model[pid][8:]
+            driver.group_flush(list(model.items()))
+            assert all(driver.read_page(pid) == data for pid, data in model.items())
+        finally:
+            driver.close()
+        _assert_reaped(driver.executor)
+
+
+class TestConcurrentClients:
+    """Four client threads share one process-backed driver.
+
+    Only the per-worker locks keep two threads' commands from
+    interleaving on one worker pipe.  Barrier phases keep the outcome
+    deterministic: in each phase exactly one thread writes to each
+    shard while the others read pages nobody is writing, and one thread
+    group-flushes while the others read.  A serial driver replaying the
+    same writes in the same per-shard order must end with the same
+    pages and byte-identical image files.
+    """
+
+    N_THREADS = 4
+    ROUNDS = 6
+    WRITES = 5
+
+    def _chips(self, tmp_path, tag):
+        return [
+            FlashChip(SPEC, backend=FileBackend.create(str(tmp_path / f"{tag}-{i}.img"), SPEC))
+            for i in range(2)
+        ]
+
+    def _plan(self, owned, base):
+        """Per round, per thread: the (pid, image) writes it performs."""
+        rng = random.Random(23)
+        current = dict(base)
+        plan = []
+        for _ in range(self.ROUNDS):
+            per_thread = []
+            for t in range(self.N_THREADS):
+                writes = []
+                for _ in range(self.WRITES):
+                    pid = rng.choice(owned[t])
+                    image = bytearray(current[pid])
+                    offset = rng.randrange(PAGE - 16)
+                    image[offset : offset + 16] = rng.randbytes(16)
+                    current[pid] = bytes(image)
+                    writes.append((pid, current[pid]))
+                per_thread.append(writes)
+            plan.append(per_thread)
+        return plan
+
+    def test_four_threads_match_a_serial_driver(self, tmp_path):
+        rng = random.Random(5)
+        base = {pid: rng.randbytes(PAGE) for pid in range(N_PAGES)}
+        proc = make_method("PDL (64B) x2 proc", self._chips(tmp_path, "proc"))
+        serial = make_method("PDL (64B) x2", self._chips(tmp_path, "serial"))
+        # Thread t writes shard t % 2 in phase t // 2 of every round.
+        owned = [
+            [pid for pid in range(N_PAGES) if proc.shard_index(pid) == t % 2][t // 2 :: 2]
+            for t in range(self.N_THREADS)
+        ]
+        plan = self._plan(owned, base)
+        for driver in (proc, serial):
+            driver.load_pages(base.items())
+            driver.end_of_load()
+
+        model = dict(base)
+        barrier = threading.Barrier(self.N_THREADS, timeout=60)
+        errors = []
+
+        def check(pids):
+            for pid in pids:
+                assert proc.read_page(pid) == model[pid], pid
+
+        def client(t):
+            try:
+                for r in range(self.ROUNDS):
+                    for phase in (0, 1):
+                        barrier.wait()
+                        if t // 2 == phase:
+                            for pid, data in plan[r][t]:
+                                proc.write_page(pid, data)
+                                model[pid] = data
+                        else:
+                            stable = [p for u in range(self.N_THREADS) if u // 2 != phase
+                                      for p in owned[u]]
+                            check(stable)
+                    barrier.wait()
+                    if t == r % self.N_THREADS:
+                        proc.group_flush()
+                    else:
+                        check(range(N_PAGES))
+                    barrier.wait()
+            except BaseException as exc:
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(self.N_THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-exchange as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+
+        for r in range(self.ROUNDS):
+            for phase in (0, 1):
+                for t in range(self.N_THREADS):
+                    if t // 2 == phase:
+                        for pid, data in plan[r][t]:
+                            serial.write_page(pid, data)
+            serial.group_flush()
+
+        _assert_unlocked(proc.executor)
+        for pid in range(N_PAGES):
+            assert proc.read_page(pid) == serial.read_page(pid) == model[pid]
+        assert proc.group_flushes == serial.group_flushes == self.ROUNDS
+        proc.close()
+        serial.close()
+        _assert_reaped(proc.executor)
+        for i in range(2):
+            assert (tmp_path / f"proc-{i}.img").read_bytes() == (
+                tmp_path / f"serial-{i}.img"
+            ).read_bytes()
+
+
+class TestInlineFailurePaths:
+    """Failures on the caller-driven exchange release every worker lock."""
+
+    @pytest.mark.parametrize("op", ["read_page", "write_page"])
+    def test_dead_worker_single_page_op_raises_crash(self, op):
+        driver = make_method("PDL (64B) x2 proc", _chips(2))
+        executor = driver.executor
+        try:
+            driver.load_pages((pid, bytes(PAGE)) for pid in range(N_PAGES))
+            driver.end_of_load()
+            pid = _pid_on(driver, 1)
+            executor._procs[1].terminate()
+            executor._procs[1].join()
+            args = (pid,) if op == "read_page" else (pid, b"\x01" * PAGE)
+            with pytest.raises(WorkerCrashError) as info:
+                getattr(driver, op)(*args)
+            assert isinstance(info.value.__cause__, (EOFError, OSError))
+            _assert_unlocked(executor)
+            # The surviving shard keeps serving.
+            assert driver.read_page(_pid_on(driver, 0)) == bytes(PAGE)
+        finally:
+            executor.shutdown()
+        _assert_reaped(executor)
+        driver.close()
+
+    def test_single_page_ops_after_close_raise(self):
+        driver = make_method("PDL (64B) x2 proc", _chips(2))
+        driver.load_page(0, bytes(PAGE))
+        driver.end_of_load()
+        driver.close()
+        with pytest.raises(ConcurrencyError):
+            driver.read_page(0)
+        with pytest.raises(ConcurrencyError):
+            driver.write_page(0, bytes(PAGE))
+        _assert_reaped(driver.executor)
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        driver = make_method("PDL (64B) x2 proc", _chips(2))
+        driver.load_pages((pid, bytes(PAGE)) for pid in range(N_PAGES))
+        driver.end_of_load()
+        yield driver
+        driver.close()
+        _assert_reaped(driver.executor)
+
+    def _assert_every_shard_serves(self, driver):
+        _assert_unlocked(driver.executor)
+        for shard in range(driver.n_shards):
+            pid = _pid_on(driver, shard)
+            assert driver.read_page(pid) == bytes(PAGE)
+        driver.group_flush()
+
+    @pytest.mark.parametrize("entry", ["write_pages", "group_flush"])
+    def test_worker_exception_mid_fan_out(self, loaded, entry):
+        # Shard 0's slice is fine, shard 1's is rejected by its worker.
+        pages = [(_pid_on(loaded, 0), bytes(PAGE)), (_pid_on(loaded, 1), bytes(10))]
+        with pytest.raises(ValueError, match="exactly"):
+            getattr(loaded, entry)(pages)
+        self._assert_every_shard_serves(loaded)
+
+    def test_parent_side_error_mid_fan_out(self, loaded):
+        # Shard 0 is already sent its batch when shard 1's page turns
+        # out not to fit the frame ring.
+        huge = bytes(PAGE * FRAMES_PER_WORKER + 1)
+        pages = [(_pid_on(loaded, 0), bytes(PAGE)), (_pid_on(loaded, 1), huge)]
+        with pytest.raises(ConfigurationError, match="frame ring"):
+            loaded.write_pages(pages)
+        self._assert_every_shard_serves(loaded)
+
+    def test_worker_exception_in_broadcast(self, loaded):
+        with pytest.raises(ZeroDivisionError):
+            loaded.executor.broadcast(_w_fail)
+        self._assert_every_shard_serves(loaded)
+        assert loaded.executor.broadcast(_w_add, 1, b=2) == [3, 3]
+
+    def test_uncollected_exchange_finished_before_resubmit(self, loaded):
+        # Submitting twice to one worker from one thread must not
+        # deadlock on the worker lock: the first exchange is finished
+        # first, in submission order.
+        executor = loaded.executor
+        first = executor.submit(1, _w_add, 1)
+        second = executor.submit(1, _w_add, 2)
+        lower = executor.submit(0, _w_add, 3)
+        assert (first.result(), second.result(), lower.result()) == (1, 2, 3)
+        _assert_unlocked(executor)
