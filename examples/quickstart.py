@@ -53,7 +53,7 @@ pdl.write_page(100, v1)
 v2 = base[:10] + b"bcccba" + base[16:]
 pdl.write_page(100, v2)
 diff = pdl.buffer.get(100)
-print(f"buffered differential: {len(diff.runs)} run(s), "
+print(f"buffered differential: {diff.n_runs} run(s), "
       f"{diff.data_len} data bytes — the history collapsed into 'bcccb…'")
 
 # --- crash and recover -------------------------------------------------------

@@ -20,6 +20,15 @@ The differential's *size* — what Max_Differential_Size compares against —
 is its full encoded length including all metadata, which is why a heavily
 updated page can exceed one page and trigger the paper's Case 3.
 
+A :class:`Differential` in memory *is* its wire entry: the pid, the
+timestamp, the run headers as one flat ``(offset, length, …)`` tuple and
+the run data as one owned ``bytes``.  Decoding is one unpack and one
+slice, encoding one pack and one join, merging slice-assigns out of the
+one buffer, and ``size`` is O(1); no step builds an object per run.
+:class:`~repro.ftl.base.ChangeRun` objects appear only in the
+``runs`` view and the run-based helpers (``compute_runs``,
+``compute_unit_runs``).
+
 Diffing is numpy-accelerated; changed regions separated by fewer
 unchanged bytes than a run header costs are coalesced (configurable
 ``coalesce_gap``), trading a few unchanged bytes for less metadata.
@@ -29,10 +38,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from ..ftl.base import ChangeRun
 
@@ -105,6 +114,34 @@ def compute_runs(
     )
 
 
+def _changed_units(
+    base: bytes, new: bytes, unit: int
+) -> Tuple[npt.NDArray[np.intp], npt.NDArray[Any], int]:
+    """Compare two pages in ``unit``-byte chunks.
+
+    Returns the indices of the full chunks that differ (a numpy array),
+    ``new``'s full chunks as a numpy array with one row per chunk, and
+    the offset of the trailing partial chunk (``len(new)`` when the page
+    is an exact multiple of the unit).
+    """
+    if len(base) != len(new):
+        raise ValueError(
+            f"page images differ in size: {len(base)} vs {len(new)} bytes"
+        )
+    if unit <= 0:
+        raise ValueError("unit must be positive")
+    n_full = len(base) // unit
+    if unit % 8 == 0:
+        # Compare 8 bytes per element: same answer, an eighth of the
+        # elements numpy has to touch on every page diff.
+        dtype, words = "<u8", unit // 8
+    else:
+        dtype, words = "u1", unit
+    full_a = np.frombuffer(base, dtype=dtype, count=n_full * words).reshape(n_full, words)
+    full_b = np.frombuffer(new, dtype=dtype, count=n_full * words).reshape(n_full, words)
+    return np.flatnonzero((full_a != full_b).any(axis=1)), full_b, n_full * unit
+
+
 def compute_unit_runs(base: bytes, new: bytes, unit: int = DEFAULT_DIFF_UNIT) -> Tuple[ChangeRun, ...]:
     """Unit-granular difference: one run per changed ``unit``-byte chunk.
 
@@ -115,55 +152,75 @@ def compute_unit_runs(base: bytes, new: bytes, unit: int = DEFAULT_DIFF_UNIT) ->
     to coverage, which is what makes a heavily-updated page's
     differential exceed one page and trigger PDL_Writing's Case 3 (the
     sawtooth of the paper's footnote 16).
+
+    :meth:`Differential.from_pages` builds the same runs directly in the
+    flat wire form; this run-object form is the reference it is tested
+    against.
     """
-    if len(base) != len(new):
-        raise ValueError(
-            f"page images differ in size: {len(base)} vs {len(new)} bytes"
-        )
-    if unit <= 0:
-        raise ValueError("unit must be positive")
-    if base == new:
-        return ()
-    n_full = len(base) // unit
-    changed_units: List[int] = []
-    if n_full:
-        if unit % 8 == 0:
-            # Compare 8 bytes per element: same answer, an eighth of the
-            # elements numpy has to touch on every page diff.
-            words = unit // 8
-            full_a = np.frombuffer(base, dtype="<u8", count=n_full * words)
-            full_b = np.frombuffer(new, dtype="<u8", count=n_full * words)
-        else:
-            words = unit
-            full_a = np.frombuffer(base, dtype=np.uint8, count=n_full * unit)
-            full_b = np.frombuffer(new, dtype=np.uint8, count=n_full * unit)
-        full_a = full_a.reshape(n_full, words)
-        full_b = full_b.reshape(n_full, words)
-        changed_units = np.flatnonzero((full_a != full_b).any(axis=1)).tolist()
+    changed_units, _full, tail_start = _changed_units(base, new, unit)
     runs = [
-        ChangeRun(i * unit, new[i * unit : (i + 1) * unit]) for i in changed_units
+        ChangeRun(i * unit, new[i * unit : (i + 1) * unit])
+        for i in changed_units.tolist()
     ]
-    tail_start = n_full * unit
-    if tail_start < len(base) and base[tail_start:] != new[tail_start:]:
+    if base[tail_start:] != new[tail_start:]:
         runs.append(ChangeRun(tail_start, new[tail_start:]))
     return tuple(runs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Differential:
     """The differential of one logical page (Section 4.2).
 
     ``timestamp`` is the creation time stamp recovery uses to identify the
     most recent differential among surviving copies.
+
+    The fields are the wire entry's: ``run_headers`` is the flat
+    ``(offset, length, offset, length, …)`` tuple and ``data`` the run
+    contents concatenated in the same order, so decoding, encoding and
+    merging never build a per-run object.  ``Differential(pid, ts, runs)``
+    builds one from :class:`~repro.ftl.base.ChangeRun` objects.
     """
 
     pid: int
     timestamp: int
-    runs: Tuple[ChangeRun, ...]
+    run_headers: Tuple[int, ...]
+    data: bytes
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def __init__(self, pid: int, timestamp: int, runs: Iterable[ChangeRun] = ()) -> None:
+        runs = tuple(runs)
+        self._fill(
+            pid,
+            timestamp,
+            tuple(field for run in runs for field in (run.offset, len(run.data))),
+            b"".join(run.data for run in runs),
+        )
+
+    @classmethod
+    def _make(
+        cls, pid: int, timestamp: int, run_headers: Tuple[int, ...], data: bytes
+    ) -> "Differential":
+        """Build from the wire fields; ``data`` must be an owned ``bytes``."""
+        diff = object.__new__(cls)
+        diff._fill(pid, timestamp, run_headers, data)
+        return diff
+
+    def _fill(
+        self, pid: int, timestamp: int, run_headers: Tuple[int, ...], data: bytes
+    ) -> None:
+        # The frozen dataclass refuses ordinary assignment.
+        object.__setattr__(self, "pid", pid)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "run_headers", run_headers)
+        object.__setattr__(self, "data", data)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Pickle and copy rebuild through _make: __init__ takes runs, and
+        # the frozen slots refuse the default state restore.
+        return (type(self)._make, (self.pid, self.timestamp, self.run_headers, self.data))
+
     @classmethod
     def from_pages(
         cls,
@@ -180,92 +237,111 @@ class Differential:
         ``unit=None`` selects byte-wise maximal runs with gap coalescing
         (the ablation configuration).
         """
-        if unit is not None:
-            runs = compute_unit_runs(base, new, unit)
-        else:
-            runs = compute_runs(base, new, coalesce_gap)
-        return cls(pid=pid, timestamp=timestamp, runs=runs)
+        if unit is None:
+            return cls(pid, timestamp, compute_runs(base, new, coalesce_gap))
+        # compute_unit_runs' runs, laid out flat: the changed units'
+        # offsets interleaved with the constant length, and their bytes
+        # gathered in one numpy copy.
+        changed_units, new_units, tail_start = _changed_units(base, new, unit)
+        run_headers = [unit] * (2 * len(changed_units))
+        run_headers[0::2] = (changed_units * unit).tolist()
+        data = new_units[changed_units].tobytes()
+        tail = new[tail_start:]
+        if base[tail_start:] != tail:
+            run_headers += (tail_start, len(tail))
+            data += tail
+        return cls._make(pid, timestamp, tuple(run_headers), data)
 
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
-    # ``runs`` is immutable, so both derived sizes are computed once and
-    # cached — PDL_Writing's case analysis and the write buffer's space
-    # accounting consult ``size`` several times per differential.
-    @cached_property
+    @property
+    def runs(self) -> Tuple[ChangeRun, ...]:
+        """The change runs as objects: a view for tests and introspection,
+        rebuilt on every access (no hot path uses it)."""
+        runs: List[ChangeRun] = []
+        pos = 0
+        headers = iter(self.run_headers)
+        for offset, length in zip(headers, headers):
+            runs.append(ChangeRun(offset, self.data[pos : pos + length]))
+            pos += length
+        return tuple(runs)
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.run_headers) // 2
+
+    @property
     def size(self) -> int:
         """Encoded size in bytes, metadata included — the quantity compared
         against Max_Differential_Size in PDL_Writing's three cases."""
-        return ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * len(self.runs) + self.data_len
+        return ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * self.n_runs + len(self.data)
 
-    @cached_property
+    @property
     def data_len(self) -> int:
-        return sum(len(run.data) for run in self.runs)
+        return len(self.data)
 
     @property
     def is_empty(self) -> bool:
-        return not self.runs
+        return not self.run_headers
 
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
     def apply(self, base: bytes) -> bytes:
         """Merge this differential with its base page (PDL_Reading Step 3)."""
-        if not self.runs:
+        if not self.run_headers:
             return base
         image = bytearray(base)
-        for run in self.runs:
-            if run.end > len(image):
-                raise DifferentialError(
-                    f"run [{run.offset}, {run.end}) outside page of {len(image)} bytes"
-                )
-            image[run.offset : run.end] = run.data
+        data = self.data
+        pos = 0
+        headers = iter(self.run_headers)
+        for offset, length in zip(headers, headers):
+            image[offset : offset + length] = data[pos : pos + length]
+            pos += length
+        # A run that reaches past the page grows the image, so one length
+        # check after the loop catches every run writing outside the page.
+        if len(image) != len(base):
+            end = max(map(sum, zip(self.run_headers[0::2], self.run_headers[1::2])))
+            raise DifferentialError(f"run ending at {end} outside page of {len(base)} bytes")
         return bytes(image)
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
-        runs = self.runs
-        header = _ENTRY_HEADER.pack(self.pid, self.timestamp, len(runs), self.data_len)
-        if not runs:
+        n_runs = self.n_runs
+        header = _ENTRY_HEADER.pack(self.pid, self.timestamp, n_runs, len(self.data))
+        if not n_runs:
             return header
-        flat: List[int] = []
-        for run in runs:
-            flat.append(run.offset)
-            flat.append(len(run.data))
-        # All run headers in one struct call instead of one pack per run.
-        run_headers = _run_header_struct(len(runs)).pack(*flat)
-        return b"".join([header, run_headers, *(run.data for run in runs)])
+        run_headers = _run_header_struct(n_runs).pack(*self.run_headers)
+        return b"".join((header, run_headers, self.data))
 
     @classmethod
     def decode_from(cls, buf: bytes, pos: int) -> Tuple["Differential", int]:
-        """Decode one entry starting at ``pos``; returns it and the new pos."""
+        """Decode one entry starting at ``pos``; returns it and the new pos.
+
+        The run data is copied out of ``buf``: the differential stays
+        intact when the caller reuses or overwrites that buffer.
+        """
         if pos + ENTRY_HEADER_SIZE > len(buf):
             raise DifferentialError("truncated differential entry header")
         pid, timestamp, n_runs, data_len = _ENTRY_HEADER.unpack_from(buf, pos)
         pos += ENTRY_HEADER_SIZE
-        if pos + RUN_HEADER_SIZE * n_runs > len(buf):
+        start = pos + RUN_HEADER_SIZE * n_runs
+        if start > len(buf):
             raise DifferentialError("truncated differential run header")
-        # All run headers in one struct call (mirrors encode()).
-        flat = _run_header_struct(n_runs).unpack_from(buf, pos)
-        pos += RUN_HEADER_SIZE * n_runs
-        runs: List[ChangeRun] = []
-        carried = 0
-        for i in range(n_runs):
-            offset = flat[2 * i]
-            length = flat[2 * i + 1]
-            if pos + length > len(buf):
-                raise DifferentialError("truncated differential run data")
-            runs.append(ChangeRun(offset, bytes(buf[pos : pos + length])))
-            carried += length
-            pos += length
+        run_headers: Tuple[int, ...] = _run_header_struct(n_runs).unpack_from(buf, pos)
+        carried = sum(run_headers[1::2])
         if carried != data_len:
             raise DifferentialError(
                 f"differential for pid {pid} declares {data_len} data bytes "
-                f"but carries {carried}"
+                f"but its runs carry {carried}"
             )
-        return cls(pid=pid, timestamp=timestamp, runs=tuple(runs)), pos
+        end = start + data_len
+        if end > len(buf):
+            raise DifferentialError("truncated differential run data")
+        return cls._make(pid, timestamp, run_headers, bytes(buf[start:end])), end
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for differential computation, codecs, and application."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.differential import (
@@ -207,3 +210,89 @@ class TestPageCodec:
         diffs = self._diffs()
         payload = encode_differential_page(diffs, 512)
         assert len(payload) == PAGE_HEADER_SIZE + sum(d.size for d in diffs)
+
+
+class TestDamagedAndAliasedInput:
+    """Damaged entries raise DifferentialError on every decode path, and
+    a decoded differential owns its data."""
+
+    def _page(self):
+        diffs = [
+            Differential(1, 10, (ChangeRun(0, b"aa"),)),
+            Differential(2, 11, (ChangeRun(5, b"bbb"), ChangeRun(20, b"cccc"))),
+        ]
+        return diffs, encode_differential_page(diffs, 512)
+
+    def test_matching_entry_data_runs_off_the_page(self):
+        _diffs, payload = self._page()
+        truncated = payload[:-2]  # pid 2's run data loses its last bytes
+        with pytest.raises(DifferentialError, match="run data"):
+            find_differential(truncated, 2)
+        with pytest.raises(DifferentialError, match="run data"):
+            decode_differential_page(truncated)
+        # The entry before the damage is still found.
+        assert find_differential(truncated, 1).pid == 1
+
+    def test_data_len_mismatch(self):
+        diffs, payload = self._page()
+        damaged = bytearray(payload)
+        # pid 2's entry: declare one data byte fewer than its runs carry.
+        data_len_at = PAGE_HEADER_SIZE + diffs[0].size + 14
+        declared = int.from_bytes(damaged[data_len_at : data_len_at + 2], "little")
+        damaged[data_len_at : data_len_at + 2] = (declared - 1).to_bytes(2, "little")
+        with pytest.raises(DifferentialError, match="declares"):
+            find_differential(bytes(damaged), 2)
+        with pytest.raises(DifferentialError, match="declares"):
+            decode_differential_page(bytes(damaged))
+
+    @pytest.mark.parametrize("run", [ChangeRun(14, b"abc"), ChangeRun(40, b"xy")])
+    def test_run_past_the_page_on_apply(self, run):
+        diff = Differential(1, 2, (ChangeRun(0, b"ok"), run))
+        with pytest.raises(DifferentialError, match="outside page"):
+            diff.apply(b"\x00" * 16)
+
+    def test_decoded_run_past_the_page_on_apply(self):
+        payload = encode_differential_page(
+            [Differential(4, 1, (ChangeRun(250, b"z" * 10),))], 512
+        )
+        with pytest.raises(DifferentialError, match="outside page"):
+            find_differential(payload, 4).apply(b"\x00" * 256)
+
+    def test_decoded_data_is_owned(self):
+        base = bytes(range(32))
+        diffs, payload = self._page()
+        flash = bytearray(payload)
+        found = find_differential(flash, 2)
+        decoded, _ = Differential.decode_from(flash, PAGE_HEADER_SIZE + diffs[0].size)
+        expected = diffs[1].apply(base)
+        flash[:] = b"\xff" * len(flash)  # the buffer is reused
+        assert type(found.data) is bytes
+        assert found.apply(base) == expected
+        assert decoded.apply(base) == expected
+        assert found == decoded == diffs[1]
+
+
+class TestDifferentialValue:
+    def test_runs_view_round_trips(self):
+        runs = (ChangeRun(3, b"hello"), ChangeRun(64, b"\x00\x01"))
+        diff = Differential(7, 99, runs)
+        assert diff.runs == runs
+        assert diff.run_headers == (3, 5, 64, 2)
+        assert diff.data == b"hello\x00\x01"
+        assert (diff.n_runs, diff.data_len) == (2, 7)
+
+    def test_immutable(self):
+        diff = Differential(1, 2, (ChangeRun(0, b"a"),))
+        with pytest.raises(AttributeError):
+            diff.pid = 3
+
+    def test_equality_and_hash(self):
+        a = Differential(1, 2, (ChangeRun(0, b"ab"),))
+        b = Differential.decode_from(a.encode(), 0)[0]
+        assert a == b and hash(a) == hash(b)
+        assert a != Differential(1, 3, (ChangeRun(0, b"ab"),))
+
+    def test_pickle_and_copy(self):
+        diff = Differential(1, 2, (ChangeRun(0, b"ab"), ChangeRun(9, b"c")))
+        assert pickle.loads(pickle.dumps(diff)) == diff
+        assert copy.deepcopy(diff) == diff
