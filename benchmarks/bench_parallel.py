@@ -6,15 +6,19 @@ real, and this benchmark measures how real, by running the same batched
 update workload through identically configured shard drivers three
 times:
 
-* **serial** — the plain ``ShardedDriver``, shards visited one after
-  another on the caller's thread;
-* **mode=thread** — the ``par`` driver
-  (:class:`~repro.sharding.executor.ParallelShardedDriver`), one
-  single-writer worker thread per shard;
-* **mode=process** — the ``proc`` driver
-  (:class:`~repro.sharding.executor_proc.ProcessShardedDriver`), one
+* **serial** — the plain ``xN`` array
+  (:class:`~repro.sharding.executor.InlineExecutor`), shards visited
+  one after another on the caller's thread;
+* **mode=thread** — the ``par`` array
+  (:class:`~repro.sharding.executor.ThreadExecutor`), one single-writer
+  worker thread per shard;
+* **mode=process** — the ``proc`` array
+  (:class:`~repro.sharding.executor_proc.ProcessShardExecutor`), one
   spawned worker process per shard with page payloads carried in
   shared-memory frames.
+
+All three are the same :class:`~repro.sharding.driver.ShardedDriver`
+façade; only the executor under it differs.
 
 Each row reports measured wall seconds for serial and parallel runs,
 their ratio (``wall_speedup``) and the simulated model's prediction

@@ -89,11 +89,12 @@ from .methods import (
 )
 from .sharding import (
     HashRouter,
-    ParallelShardedDriver,
+    InlineExecutor,
+    ProcessShardExecutor,
     RangeRouter,
-    ShardExecutor,
     ShardRouter,
     ShardedDriver,
+    ThreadExecutor,
     make_router,
     recover_all,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "HashRouter",
     "MemoryBackend",
     "ReadCache",
+    "InlineExecutor",
     "IplDriver",
     "IpuDriver",
     "OpuDriver",
@@ -126,18 +128,18 @@ __all__ = [
     "PAPER_METHODS_NO_IPU",
     "PageType",
     "PageUpdateMethod",
-    "ParallelShardedDriver",
     "PdlDriver",
     "PhysicalPageMappingTable",
+    "ProcessShardExecutor",
     "RangeRouter",
     "RecoveryReport",
     "SAMSUNG_K9L8G08U0M",
-    "ShardExecutor",
     "ShardRouter",
     "ShardedDriver",
     "SimulatedPowerLoss",
     "SpareArea",
     "TINY_SPEC",
+    "ThreadExecutor",
     "UnallocatedPageError",
     "UnknownPageError",
     "ValidDifferentialCountTable",

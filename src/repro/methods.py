@@ -24,17 +24,16 @@ per shard, on sharded labels::
     make_method("PDL (256B) x4 gc=cb", chips)    # cost-benefit GC
     make_method("OPU gc=wear", chip)             # wear-aware GC
 
-A ``par`` token on a sharded label builds a
-:class:`~repro.sharding.executor.ParallelShardedDriver`: the same array,
-but with one worker thread per shard so group flush, bulk loads and
-buffer-pool flushes execute concurrently in wall-clock time (see
-``docs/concurrency.md``)::
+A ``par`` token on a sharded label runs the same array on a
+:class:`~repro.sharding.executor.ThreadExecutor`: one worker thread per
+shard, so group flush, bulk loads and buffer-pool flushes execute
+concurrently in wall-clock time (see ``docs/concurrency.md``)::
 
     make_method("PDL (256B) x4 par", chips)      # thread-parallel array
     make_method("PDL (256B) x4 par gc=cb", chips)
 
-A ``proc`` token instead builds a
-:class:`~repro.sharding.executor_proc.ProcessShardedDriver`: one worker
+A ``proc`` token instead runs it on a
+:class:`~repro.sharding.executor_proc.ProcessShardExecutor`: one worker
 *process* per shard, so shard work runs on separate cores past the GIL.
 The chips must be pristine (the workers rebuild the drivers from
 spawn-safe recipes; use ``recover_all(..., parallel="process")`` for
@@ -42,8 +41,9 @@ existing images) and memory- or file-backed::
 
     make_method("PDL (256B) x8 proc", chips)     # process-parallel array
 
-Each chip gets its own per-shard driver (any base method works); the
-result is a :class:`~repro.sharding.driver.ShardedDriver`.  ``x1`` is
+Each chip gets its own per-shard driver (any base method works); every
+sharded label, whatever its executor, builds the one
+:class:`~repro.sharding.driver.ShardedDriver` façade.  ``x1`` is
 accepted and still builds the sharded façade, which benchmarks use to
 measure the façade's (zero-flash-cost) overhead against the bare driver.
 """
@@ -62,6 +62,7 @@ from .ftl.ipl import IplDriver
 from .ftl.ipu import IpuDriver
 from .ftl.opu import OpuDriver
 from .sharding.driver import ShardedDriver
+from .sharding.executor import InlineExecutor, ThreadExecutor
 from .sharding.router import ShardRouter
 
 #: The six configurations of the paper's evaluation (Figure 12's legend).
@@ -245,18 +246,17 @@ def make_method(
             # No local shard drivers: the chips only donate configuration
             # and the workers rebuild everything from spawn-safe recipes.
             from .sharding.executor_proc import (
-                ProcessShardedDriver,
+                ProcessShardExecutor,
                 factories_from_chips,
             )
 
-            factories = factories_from_chips(chips, base_label, kwargs)
-            return ProcessShardedDriver(factories, router=router)
-        shards = [_make_single(base_label, shard_chip, **kwargs) for shard_chip in chips]
-        if parallel:
-            from .sharding.executor import ParallelShardedDriver
-
-            return ParallelShardedDriver(shards, router=router)
-        return ShardedDriver(shards, router=router)
+            executor = ProcessShardExecutor(
+                factories_from_chips(chips, base_label, kwargs)
+            )
+        else:
+            shards = [_make_single(base_label, shard_chip, **kwargs) for shard_chip in chips]
+            executor = ThreadExecutor(shards) if parallel else InlineExecutor(shards)
+        return ShardedDriver(executor, router=router)
     if router is not None:
         raise ConfigurationError(
             f"label {label!r} is unsharded; a router only applies to 'xN' labels"

@@ -9,16 +9,19 @@ partitions the logical page space; :func:`recover_all` rebuilds every
 shard's mapping tables after a crash.
 
 * :mod:`repro.sharding.router` — hash and range partitioning, pluggable.
-* :mod:`repro.sharding.driver` — the façade, batched group flush,
-  aggregated wear reporting.
-* :mod:`repro.sharding.executor` — real thread parallelism: a
-  single-writer worker thread per shard (:class:`ShardExecutor`) and
-  the :class:`ParallelShardedDriver` built on it (see
+* :mod:`repro.sharding.driver` — the one façade: routing, batched group
+  flush, fsck fan-out, aggregated stats, GC and wear reporting.
+* :mod:`repro.sharding.ops` — every shard call as a module-level,
+  picklable op ``op(shard_driver, *args)``.
+* :mod:`repro.sharding.executor` — where the ops run in-process: on the
+  calling thread (:class:`InlineExecutor`, the serial ``xN`` array) or
+  on a single-writer worker thread per shard (:class:`ThreadExecutor`
+  over a :class:`ShardExecutor` pool, ``xN par``; see
   ``docs/concurrency.md``).
 * :mod:`repro.sharding.executor_proc` — process-per-shard execution
-  past the GIL: spawn-safe :class:`ShardFactory` recipes, a
-  :class:`ProcessShardExecutor` with shared-memory page frames, and
-  the :class:`ProcessShardedDriver` façade (``"... x8 proc"`` labels).
+  past the GIL: spawn-safe :class:`ShardFactory` recipes and a
+  :class:`ProcessShardExecutor` with shared-memory page frames
+  (``xN proc``).
 * :mod:`repro.sharding.stats` — merged :class:`FlashStats` view plus
   per-chip clocks for serial-vs-parallel time accounting.
 * :mod:`repro.sharding.recovery` — per-shard Figure-11 scans composed
@@ -35,12 +38,8 @@ Build sharded configurations from paper-style labels::
 """
 
 from .driver import ShardedDriver
-from .executor import ParallelShardedDriver, ShardExecutor, make_executor
-from .executor_proc import (
-    ProcessShardedDriver,
-    ProcessShardExecutor,
-    ShardFactory,
-)
+from .executor import InlineExecutor, ShardExecutor, ThreadExecutor
+from .executor_proc import ProcessShardExecutor, ShardFactory
 from .recovery import recover_all
 from .router import HashRouter, RangeRouter, ShardRouter, make_router
 from .stats import AggregateStats
@@ -48,15 +47,14 @@ from .stats import AggregateStats
 __all__ = [
     "AggregateStats",
     "HashRouter",
-    "ParallelShardedDriver",
+    "InlineExecutor",
     "ProcessShardExecutor",
-    "ProcessShardedDriver",
     "RangeRouter",
     "ShardExecutor",
     "ShardFactory",
     "ShardRouter",
     "ShardedDriver",
-    "make_executor",
+    "ThreadExecutor",
     "make_router",
     "recover_all",
 ]

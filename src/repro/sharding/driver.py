@@ -21,12 +21,16 @@ pool, sharding multiplies the paper's mechanisms for free:
   buffer in one batched call, the natural commit point for a DBMS
   checkpoint running above the array.
 
-This base class executes everything on the calling thread, one shard
-after another; parallelism appears only in the simulated clock model
-(the busiest chip's share of a window).  Its subclass
-:class:`~repro.sharding.executor.ParallelShardedDriver` executes shards
-on real worker threads — see ``docs/concurrency.md`` for the execution
-model and how the two time metrics relate.
+The façade owns routing, per-shard batching and every report; *where*
+shard work runs is its executor's business.  Each shard call is a
+module-level op from :mod:`repro.sharding.ops`, handed to one of three
+executors: :class:`~repro.sharding.executor.InlineExecutor` (the calling
+thread, one shard after another — ``"... xN"``),
+:class:`~repro.sharding.executor.ThreadExecutor` (a worker thread per
+shard — ``"... xN par"``) or
+:class:`~repro.sharding.executor_proc.ProcessShardExecutor` (a worker
+process per shard — ``"... xN proc"``).  See ``docs/concurrency.md`` for
+the execution model and how the two time metrics relate.
 
 The driver is method-agnostic: any mix of PDL/OPU/IPU/IPL shards built
 by :func:`repro.methods.make_method` works, although homogeneous fleets
@@ -35,44 +39,62 @@ by :func:`repro.methods.make_method` works, although homogeneous fleets
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import threading
+from typing import Dict, List, Optional
 
-from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
 from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import ConfigurationError
+from . import ops
+from .executor import InlineExecutor
 from .router import HashRouter, ShardRouter
 from .stats import AggregateStats
 
 
-class ShardedDriver(PageUpdateMethod):
-    """A :class:`PageUpdateMethod` routing pages across shard drivers."""
+def _logs_of(group, update_logs) -> Optional[Dict[int, List[ChangeRun]]]:
+    """The update logs of one shard's slice of a batch."""
+    if update_logs is None:
+        return None
+    return {pid: update_logs[pid] for pid, _ in group if pid in update_logs}
 
-    def __init__(
-        self,
-        shards: Sequence[PageUpdateMethod],
-        router: Optional[ShardRouter] = None,
-    ):
+
+class ShardedDriver(PageUpdateMethod):
+    """A :class:`PageUpdateMethod` routing pages across shard drivers.
+
+    ``executor`` runs the shard ops; a plain sequence of shard drivers
+    is shorthand for an :class:`~repro.sharding.executor.InlineExecutor`
+    over them.  The façade owns the executor: :meth:`close` shuts it
+    down, and so does a failed construction.
+    """
+
+    def __init__(self, executor, router: Optional[ShardRouter] = None):
         # No super().__init__: there is no single chip; spec/stats/page_size
         # are overridden below instead.
-        if not shards:
-            raise ConfigurationError("ShardedDriver needs at least one shard")
-        self.shards: List[PageUpdateMethod] = list(shards)
-        self.router = router if router is not None else HashRouter(len(self.shards))
-        if self.router.n_shards != len(self.shards):
-            raise ConfigurationError(
-                f"router partitions {self.router.n_shards} shards but "
-                f"{len(self.shards)} shard drivers were supplied"
-            )
-        sizes = {shard.page_size for shard in self.shards}
-        if len(sizes) != 1:
-            raise ConfigurationError(
-                f"shards disagree on logical page size: {sorted(sizes)}"
-            )
-        self.name = f"{self.shards[0].name} x{len(self.shards)}"
-        self.tightly_coupled = any(s.tightly_coupled for s in self.shards)
-        self._stats = AggregateStats([s.stats for s in self.shards])
+        if isinstance(executor, (list, tuple)):
+            executor = InlineExecutor(executor)
+        self.executor = executor
+        meta = executor.meta
+        try:
+            self.router = router if router is not None else HashRouter(len(meta))
+            if self.router.n_shards != len(meta):
+                raise ConfigurationError(
+                    f"router partitions {self.router.n_shards} shards but "
+                    f"{len(meta)} shard drivers were supplied"
+                )
+            sizes = {m["page_size"] for m in meta}
+            if len(sizes) != 1:
+                raise ConfigurationError(
+                    f"shards disagree on logical page size: {sorted(sizes)}"
+                )
+        except BaseException:
+            executor.shutdown()
+            raise
+        self._meta = meta
+        self.name = f"{meta[0]['name']} x{len(meta)}{executor.suffix}"
+        self.tightly_coupled = any(m["tightly_coupled"] for m in meta)
         self.group_flushes = 0
+        #: Guards ``group_flushes`` against racing client threads.
+        self._counter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Routing
@@ -80,32 +102,43 @@ class ShardedDriver(PageUpdateMethod):
     def shard_index(self, pid: int) -> int:
         """The shard index owning ``pid`` (validated against the fleet)."""
         index = self.router.shard_of(pid)
-        if not 0 <= index < len(self.shards):
+        if not 0 <= index < len(self._meta):
             raise ConfigurationError(
-                f"router sent pid {pid} to shard {index} of {len(self.shards)}"
+                f"router sent pid {pid} to shard {index} of {len(self._meta)}"
             )
         return index
 
+    @property
+    def shards(self) -> List[PageUpdateMethod]:
+        """The shard drivers (in-process executors only)."""
+        return self.executor.shards
+
     def shard_for(self, pid: int) -> PageUpdateMethod:
         return self.shards[self.shard_index(pid)]
+
+    def _split(self, pages) -> Dict[int, List]:
+        """Group ``(pid, data)`` pairs by owning shard, keeping order."""
+        per_shard: Dict[int, List] = {}
+        for pid, data in pages:
+            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
+        return per_shard
 
     # ------------------------------------------------------------------
     # PageUpdateMethod contract
     # ------------------------------------------------------------------
     def load_page(self, pid: int, data: bytes) -> None:
-        self.shard_for(pid).load_page(pid, data)
+        self.executor.run(self.shard_index(pid), ops.load_page, pid, data)
 
     def end_of_load(self) -> None:
-        for shard in self.shards:
-            shard.end_of_load()
+        self.executor.broadcast(ops.end_of_load)
 
     def read_page(self, pid: int) -> bytes:
-        return self.shard_for(pid).read_page(pid)
+        return self.executor.run(self.shard_index(pid), ops.read_page, pid)
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
     ) -> None:
-        self.shard_for(pid).write_page(pid, data, update_logs=update_logs)
+        self.executor.run(self.shard_index(pid), ops.write_page, pid, data, update_logs)
 
     def load_pages(self, pages) -> None:
         """Bulk-load a batch by fanning it out shard-by-shard.
@@ -114,11 +147,10 @@ class ShardedDriver(PageUpdateMethod):
         them through its own batched path (PDL shards program a whole
         allocation block per chip call).
         """
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        for index, group in per_shard.items():
-            self.shards[index].load_pages(group)
+        per_shard = self._split(pages)
+        self.executor.fan_out(
+            [(index, ops.load_pages, (group,)) for index, group in sorted(per_shard.items())]
+        )
 
     def write_pages(self, pages, update_logs=None) -> None:
         """Reflect a batch shard-by-shard (the sharded buffer-pool flush).
@@ -128,31 +160,17 @@ class ShardedDriver(PageUpdateMethod):
         devices.  Each shard sees one batched call, so per-shard batching
         (PDL's prefetched base reads) still applies.
         """
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        for index, group in per_shard.items():
-            logs = None
-            if update_logs is not None:
-                logs = {pid: update_logs[pid] for pid, _ in group if pid in update_logs}
-            self.shards[index].write_pages(group, update_logs=logs)
+        per_shard = self._split(pages)
+        self.executor.fan_out(
+            [
+                (index, ops.write_pages, (group, _logs_of(group, update_logs)))
+                for index, group in sorted(per_shard.items())
+            ]
+        )
 
     def flush(self) -> None:
         """Write-through over the whole array (see :meth:`group_flush`)."""
         self.group_flush()
-
-    def _split_by_shard(self, pages, update_logs=None) -> Dict[int, tuple]:
-        """Group ``(pid, data)`` pairs (and their logs) by owning shard."""
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        out: Dict[int, tuple] = {}
-        for index, group in per_shard.items():
-            logs = None
-            if update_logs is not None:
-                logs = {pid: update_logs[pid] for pid, _ in group if pid in update_logs}
-            out[index] = (group, logs)
-        return out
 
     def group_flush(self, pages=None, update_logs=None) -> None:
         """Batched flush: drain every shard's buffers in one call.
@@ -160,80 +178,101 @@ class ShardedDriver(PageUpdateMethod):
         All shards flush before control returns, so a caller observing
         the return has a single durability horizon across the array —
         the sharded generalization of Section 4.5's write-through.  The
-        flushes are independent per-chip programs; this serial façade
+        flushes are independent per-chip programs: the inline executor
         runs them one after another (simulated parallel time is still
-        the slowest shard's share), while
-        :class:`~repro.sharding.executor.ParallelShardedDriver`
-        overrides this method to fan them out across its worker threads
-        for real wall-clock overlap — see ``docs/concurrency.md``.
+        the slowest shard's share), the thread and process executors
+        overlap them in wall-clock time.
 
         ``pages`` (with optional ``update_logs``) is the buffer-pool
-        flush entry point: the batch is reflected shard-by-shard and
-        each shard's buffers are drained in the same pass, so a pool's
-        ``flush_all`` is one driver call instead of a ``write_pages``
+        flush entry point: each shard's slice of the batch is written
+        and its buffers drained in one shard op, so a pool's
+        ``flush_all`` is one fan-out instead of a ``write_pages``
         followed by a separate flush sweep.  Per-shard operation order
         is identical to the two-call sequence (writes, then flush).
         """
         if pages is None:
-            for shard in self.shards:
-                shard.flush()
+            self.executor.broadcast(ops.flush)
         else:
-            split = self._split_by_shard(pages, update_logs)
-            for index, shard in enumerate(self.shards):
-                entry = split.get(index)
-                if entry is not None:
-                    group, logs = entry
-                    shard.write_pages(group, update_logs=logs)
-                shard.flush()
-        self.group_flushes += 1
+            per_shard = self._split(pages)
+            calls = []
+            for index in range(len(self._meta)):
+                group = per_shard.get(index, [])
+                calls.append(
+                    (index, ops.write_then_flush, (group, _logs_of(group, update_logs)))
+                )
+            self.executor.fan_out(calls)
+        with self._counter_lock:
+            self.group_flushes += 1
 
     # ------------------------------------------------------------------
     # Aggregated introspection
     # ------------------------------------------------------------------
     @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return len(self._meta)
 
     @property
-    def chips(self) -> List[FlashChip]:
-        return [shard.chip for shard in self.shards]
+    def chips(self):
+        """The shard chips (in-process executors only)."""
+        return self.executor.chips
 
     @property
     def spec(self) -> FlashSpec:
         """The per-shard chip spec (shards share one geometry in practice)."""
-        return self.shards[0].spec
+        return self._meta[0]["spec"]
 
     @property
     def stats(self) -> AggregateStats:  # type: ignore[override]
-        return self._stats
+        """Merged view over the per-shard collectors: live objects under
+        in-process executors, fetched (or, after shutdown, snapshotted)
+        copies under the process executor."""
+        return AggregateStats(
+            self.executor.inspect(ops.stats),
+            phases=self.executor.phases,
+            reset=lambda: self.executor.broadcast(ops.reset_stats),
+        )
 
     @property
     def page_size(self) -> int:
-        return self.shards[0].page_size
+        return self._meta[0]["page_size"]
+
+    @property
+    def effective_max(self) -> Optional[int]:
+        """A representative shard's PDL Case-3 horizon (``None`` for
+        non-PDL shards); shards age independently but identically."""
+        return self._meta[0]["effective_max"]
 
     @property
     def total_blocks(self) -> int:
         """Erase blocks across the whole array (capacity planning, GC
         steady-state targets)."""
-        return sum(shard.spec.n_blocks for shard in self.shards)
+        return sum(m["spec"].n_blocks for m in self._meta)
 
     # ------------------------------------------------------------------
     # Lifecycle (persistent backends)
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Push every shard chip's backend to durable media."""
-        for chip in self.chips:
-            chip.sync()
+        self.executor.broadcast(ops.sync)
 
     def close(self) -> None:
-        """Sync and close every shard chip's backend."""
-        for chip in self.chips:
-            chip.close()
+        """Close every shard chip, then shut the executor down.
+
+        Closing is not flushing: whatever a shard still buffers (PDL's
+        differential write buffer) is lost, as on a crash.  Every chip
+        is attempted even when one fails; the first error is re-raised.
+        An executor already shut down closed its chips on the way out.
+        """
+        try:
+            if not self.executor.is_shutdown:
+                self.executor.broadcast(ops.close)
+        finally:
+            self.executor.shutdown()
 
     def chip_clocks(self) -> List[float]:
         """Each shard chip's monotonic clock; ``max`` of window deltas is
         the array's parallel elapsed time."""
-        return [chip.clock_us for chip in self.chips]
+        return self.executor.inspect(ops.clock)
 
     def gc_report(self) -> Dict[str, object]:
         """Aggregated space-management health across the array.
@@ -246,38 +285,25 @@ class ShardedDriver(PageUpdateMethod):
         shrink.  Shards without a pluggable collector (e.g. IPU) report
         ``None``.
         """
-        per_shard: List[Optional[Dict[str, object]]] = []
-        for shard in self.shards:
-            gc = getattr(shard, "gc", None)
-            if gc is None:
-                per_shard.append(None)
-                continue
-            per_shard.append(
-                {
-                    "policy": gc.policy_label,
-                    "collections": gc.collections,
-                    "pages_relocated": gc.pages_relocated,
-                    "incremental_steps": gc.steps,
-                    "debt_blocks": gc.gc_debt(),
-                    "gc_time_us": gc.gc_time_us,
-                }
-            )
+        per_shard = self.executor.inspect(ops.gc_info)
         present = [entry for entry in per_shard if entry is not None]
+        stats = self.stats
         return {
             "per_shard": per_shard,
             "total_collections": sum(e["collections"] for e in present),
             "total_pages_relocated": sum(e["pages_relocated"] for e in present),
             "total_incremental_steps": sum(e["incremental_steps"] for e in present),
             "total_debt_blocks": sum(e["debt_blocks"] for e in present),
-            "write_stall_p99_us": self._stats.write_stall_percentile(99),
-            "write_stall_max_us": self._stats.max_write_stall_us,
+            "write_stall_p99_us": stats.write_stall_percentile(99),
+            "write_stall_max_us": stats.max_write_stall_us,
         }
 
     def wear_report(self) -> Dict[str, object]:
         """Aggregated wear: per-shard erase totals and worst block."""
-        per_shard = [shard.stats.total_erases for shard in self.shards]
+        shard_stats = self.executor.inspect(ops.stats)
+        per_shard = [stats.total_erases for stats in shard_stats]
         worst = max(
-            (max(shard.stats.block_erases, default=0) for shard in self.shards),
+            (max(stats.block_erases, default=0) for stats in shard_stats),
             default=0,
         )
         return {
@@ -292,30 +318,28 @@ class ShardedDriver(PageUpdateMethod):
         Returns one merged :class:`~repro.core.fsck.FsckReport` whose
         ``per_shard`` list holds the individual shard reports (in shard
         order; shards without an fsck-capable driver contribute an empty
-        report).  This serial façade scans shards one after another;
-        :class:`~repro.sharding.executor.ParallelShardedDriver` overrides
-        it to fan the scans out across its workers.
+        report).  Each scan runs where its shard lives (the
+        single-writer invariant covers fsck's repair writes too), so a
+        parallel array fscks in the wall-clock time of its slowest shard.
         """
         from ..core.fsck import FsckReport
 
-        reports = []
-        for shard in self.shards:
-            if hasattr(shard, "fsck"):
-                reports.append(shard.fsck(repair=repair))
-            else:
-                reports.append(FsckReport())
-        return FsckReport.merge(reports)
+        return FsckReport.merge(self.executor.broadcast(ops.fsck, repair))
 
     def differential_page_count(self) -> int:
         """Referenced differential pages, summed over PDL shards."""
-        return sum(
-            shard.differential_page_count()
-            for shard in self.shards
-            if hasattr(shard, "differential_page_count")
-        )
+        return sum(self.executor.inspect(ops.differential_pages))
+
+    def allocation_horizon(self) -> int:
+        """Highest mapped pid + 1 across all shards (post-recovery)."""
+        return max(self.executor.inspect(ops.horizon), default=0)
+
+    def dump_images(self) -> List[Dict[str, object]]:
+        """Per-shard flash images (equivalence testing)."""
+        return self.executor.broadcast(ops.dump_image)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ShardedDriver {self.name!r} router={type(self.router).__name__} "
-            f"shards={len(self.shards)}>"
+            f"shards={self.n_shards}>"
         )

@@ -13,9 +13,11 @@ table updates, GC) runs on separate cores:
   instead of a live driver is what spawn-safety means here: nothing
   crosses the process boundary except plain data.
 * :class:`ProcessShardExecutor` — one spawned worker process per shard,
-  honoring the thread executor's submit/result contract.  There are no
-  parent-side threads: the *calling* thread sends each command down the
-  worker's pipe and reads the reply itself, under a per-worker lock
+  implementing the same executor seam as the inline and thread
+  executors, so the one :class:`~repro.sharding.driver.ShardedDriver`
+  façade runs on it unchanged (``"PDL (256B) x8 proc"``).  There are
+  no parent-side threads: the *calling* thread sends each command down
+  the worker's pipe and reads the reply itself, under a per-worker lock
   held from the first command to the last reply.  Fan-outs take the
   locks of their workers in ascending shard index and send every worker
   its command before collecting any reply, so workers still overlap.
@@ -26,14 +28,12 @@ table updates, GC) runs on separate cores:
   Because the lock allows at most one command in flight per worker,
   frames are reusable the moment the worker's reply arrives (see
   ``docs/concurrency.md`` for the full frame lifecycle).
-* :class:`ProcessShardedDriver` — the
-  :class:`~repro.sharding.driver.ShardedDriver`-shaped façade on top:
-  same routing, batched fan-out, fsck/GC/wear reporting and label
-  round-tripping (``"PDL (256B) x8 proc"``), with per-shard
-  :class:`~repro.flash.stats.FlashStats` accumulated worker-side and
-  merged into an :class:`~repro.sharding.stats.AggregateStats` view on
-  read (and snapshotted once more on shutdown, so post-close reporting
-  still works).
+* **Worker-side state** — per-shard
+  :class:`~repro.flash.stats.FlashStats` accumulate in the workers and
+  are fetched on read; at shutdown the executor snapshots the
+  read-only ops of :data:`repro.sharding.ops.SNAPSHOT` (stats, clocks,
+  GC counters, differential pages, horizon) so post-close reporting
+  still works.
 
 Commands and results travel over pipes; exceptions raised in a worker
 are pickled back and re-raised in the caller (with the worker traceback
@@ -46,18 +46,17 @@ from __future__ import annotations
 import pickle
 import threading
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context, shared_memory
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flash.spec import FlashSpec
-from ..flash.stats import DEFAULT_PHASE
-from ..ftl.base import ChangeRun, PageUpdateMethod
+from ..ftl.base import PageUpdateMethod
 from ..ftl.errors import ConcurrencyError, ConfigurationError
+from . import ops
+from .driver import ShardedDriver
 from .executor import gather
-from .router import HashRouter, ShardRouter
-from .stats import AggregateStats
+from .stats import PhaseStack
 
 #: Page frames in each worker's shared-memory ring; a batch larger
 #: than the ring is sent in ring-sized chunks.
@@ -232,13 +231,8 @@ def _worker_main(conn, shm_name: str, factory: ShardFactory) -> None:
     try:
         try:
             driver, report = factory.build()
-            meta = {
-                "name": driver.name,
-                "page_size": driver.page_size,
-                "tightly_coupled": bool(getattr(driver, "tightly_coupled", False)),
-                "effective_max": getattr(driver, "effective_max", None),
-                "report": report,
-            }
+            meta = ops.describe(driver)
+            meta["report"] = report
         except BaseException as exc:
             safe, tb = _sanitize_exc(exc)
             conn.send(("error", safe, tb))
@@ -249,7 +243,7 @@ def _worker_main(conn, shm_name: str, factory: ShardFactory) -> None:
         finally:
             # Sync file-backed images even when the parent stops the pool
             # without an explicit close broadcast.  Double-close (after an
-            # _op_close) is harmless but guarded anyway.
+            # ops.close) is harmless but guarded anyway.
             try:
                 driver.chip.close()
             # repro: allow[bare-except] -- worker exit path: the parent is
@@ -317,102 +311,6 @@ def _execute(driver: PageUpdateMethod, buf: memoryview, msg) -> object:
     raise ConcurrencyError(f"unknown worker op {op!r}")
 
 
-# Worker-side operations dispatched through the generic "call" command.
-# They must live at module level so pickle can resolve them by name in
-# the spawned child.
-def _op_flush(driver):
-    driver.flush()
-
-
-def _op_end_of_load(driver):
-    driver.end_of_load()
-
-
-def _op_sync(driver):
-    driver.chip.sync()
-
-
-def _op_close(driver):
-    driver.chip.close()
-
-
-def _op_stats(driver):
-    return driver.stats
-
-
-def _op_reset_stats(driver):
-    driver.stats.reset()
-
-
-def _op_clock(driver):
-    return driver.chip.clock_us
-
-
-def _op_fsck(driver, repair):
-    from ..core.fsck import FsckReport
-
-    if hasattr(driver, "fsck"):
-        return driver.fsck(repair=repair)
-    return FsckReport()
-
-
-def _op_diff_count(driver):
-    if hasattr(driver, "differential_page_count"):
-        return driver.differential_page_count()
-    return 0
-
-
-def _op_horizon(driver):
-    ppmt = getattr(driver, "ppmt", None)
-    if ppmt is None:
-        return 0
-    top = getattr(ppmt, "max_pid", None)
-    if top is not None:
-        # Tiered tables track the horizon; a full walk would demand-page
-        # every snapshot page of the shard just to find the max.
-        return top + 1
-    return max((pid for pid, _entry in ppmt.items()), default=-1) + 1
-
-
-def _op_gc_info(driver):
-    gc = getattr(driver, "gc", None)
-    if gc is None:
-        return None
-    return {
-        "policy": gc.policy_label,
-        "collections": gc.collections,
-        "pages_relocated": gc.pages_relocated,
-        "incremental_steps": gc.steps,
-        "debt_blocks": gc.gc_debt(),
-        "gc_time_us": gc.gc_time_us,
-    }
-
-
-def _op_final_state(driver):
-    """Everything the parent may still ask about after shutdown."""
-    return {
-        "clock_us": driver.chip.clock_us,
-        "stats": driver.stats,
-        "gc": _op_gc_info(driver),
-        "differential_pages": _op_diff_count(driver),
-        "horizon": _op_horizon(driver),
-    }
-
-
-def _op_dump_image(driver):
-    """Flash image of the shard's chip, for equivalence testing."""
-    return dump_chip_image(driver.chip)
-
-
-def dump_chip_image(chip) -> Dict[str, object]:
-    """Parent-side twin of the worker image dump (thread/serial drivers)."""
-    pages = {}
-    for addr in chip.iter_programmed_pages():
-        pages[addr] = (chip.peek_data(addr), chip.peek_spare(addr))
-    erases = [chip.erase_count(b) for b in range(chip.spec.n_blocks)]
-    return {"pages": pages, "erase_counts": erases}
-
-
 # ----------------------------------------------------------------------
 # Parent-side executor
 # ----------------------------------------------------------------------
@@ -428,7 +326,7 @@ def _worker_error(msg) -> BaseException:
 # a task yields is one command for its worker, the worker's reply is
 # sent back in, and the task's return value is the exchange's result.
 def _call(_buf, phase, fn, args, kwargs):
-    return (yield ("call", phase, fn, args, kwargs))
+    return (yield ("call", phase, fn, args, kwargs or {}))
 
 
 def _read(buf, phase, pid):
@@ -443,7 +341,7 @@ def _check_fits(n: int, cap: int) -> None:
         )
 
 
-def _put_page(buf, op, phase, pid, data, logs):
+def _put_page(buf, op, phase, pid, data, logs=None):
     """``write_page``/``load_page``: one page through frame 0."""
     n = len(data)
     _check_fits(n, len(buf))
@@ -451,7 +349,7 @@ def _put_page(buf, op, phase, pid, data, logs):
     yield (op, phase, pid, n, logs)
 
 
-def _put_batch(buf, op, phase, group, logs, do_flush):
+def _put_batch(buf, op, do_flush, phase, group, logs=None):
     """Send a page batch through the frame ring, chunked to its size."""
     cap = len(buf)
     i = 0
@@ -478,7 +376,19 @@ def _put_batch(buf, op, phase, group, logs, do_flush):
             yield (op, phase, metas)
         i = j
     if do_flush:
-        yield ("call", phase, _op_flush, (), {})
+        yield ("call", phase, ops.flush, (), {})
+
+
+#: Page-carrying ops and the frame-ring task (with its leading
+#: arguments) that carries each; every other op is a plain ``_call``.
+_RING_TASKS: Dict[Callable, Tuple[Callable, tuple]] = {
+    ops.read_page: (_read, ()),
+    ops.write_page: (_put_page, ("write_page",)),
+    ops.load_page: (_put_page, ("load_page",)),
+    ops.write_pages: (_put_batch, ("write_pages", False)),
+    ops.load_pages: (_put_batch, ("load_pages", False)),
+    ops.write_then_flush: (_put_batch, ("write_pages", True)),
+}
 
 
 class _Exchange:
@@ -565,12 +475,15 @@ class _Held(threading.local):
 class ProcessShardExecutor:
     """One spawned worker process per shard, driven by the callers.
 
-    Mirrors :class:`~repro.sharding.executor.ShardExecutor`'s contract —
-    ``submit``/``run``/``map``/``broadcast``, handles with ``result()``
-    — with the execution surface adapted to the process boundary: a
-    submitted callable must be *picklable* and is invoked in the worker
-    as ``fn(driver, *args, **kwargs)`` against the shard driver the
-    worker built from its :class:`ShardFactory`.
+    Implements the executor seam of :mod:`repro.sharding.executor` —
+    ``run``/``fan_out``/``broadcast``/``inspect`` plus ``submit``
+    handles with ``result()`` — adapted to the process boundary: an op
+    must be *picklable* and is invoked in the worker as ``fn(driver,
+    *args, **kwargs)`` against the shard driver the worker built from
+    its :class:`ShardFactory`.  The page-carrying ops of
+    :mod:`repro.sharding.ops` ride the shared-memory frame ring instead
+    (:data:`_RING_TASKS`), and the innermost phase of :attr:`phases`
+    travels with every command.
 
     There are no parent-side threads.  The calling thread speaks the
     worker's pipe itself, holding that worker's lock from its first
@@ -580,6 +493,9 @@ class ProcessShardExecutor:
     above every lock it already holds (see :meth:`submit_task`), so
     concurrent fan-outs cannot deadlock.
     """
+
+    suffix = " proc"
+    serializes_callers = True
 
     def __init__(
         self,
@@ -603,9 +519,12 @@ class ProcessShardExecutor:
         self._shutdown_started = False
         self._reaped = False
         self._state_lock = threading.Lock()
-        self._finalizers: List[Callable[[], None]] = []
-        #: Per-worker build metadata from the ready handshake (driver
-        #: name, page size, effective_max, recovery report).
+        self.phases = PhaseStack()
+        #: Per-worker :data:`ops.SNAPSHOT` results taken at shutdown
+        #: (``None`` for a worker that could not answer).
+        self._final: List[Optional[list]] = [None] * n
+        #: Per-worker :func:`ops.describe` facts from the ready
+        #: handshake, plus the ``"report"`` of a recovery build.
         self.meta: List[dict] = [{} for _ in range(n)]
         try:
             for i, factory in enumerate(self.factories):
@@ -709,33 +628,52 @@ class ProcessShardExecutor:
             _drive([ex for ex in exchanges if ex is not None])
         return gather(exchanges)
 
+    def _task(self, fn: Callable, args: tuple, kwargs: Optional[dict] = None) -> tuple:
+        """``(task, *task_args)`` carrying op ``fn`` and the caller's phase."""
+        phase = self.phases.current
+        ring = _RING_TASKS.get(fn)
+        if ring is None:
+            return (_call, phase, fn, args, kwargs)
+        task, lead = ring
+        return (task, *lead, phase, *args)
+
     def submit(self, index: int, fn: Callable, *args, **kwargs) -> _Exchange:
         """Start picklable ``fn(driver, *args, **kwargs)`` on a worker."""
-        return self.submit_task(index, _call, None, fn, args, kwargs)
+        return self.submit_task(index, *self._task(fn, args, kwargs))
 
     def run(self, index: int, fn: Callable, *args, **kwargs):
         """Run ``fn(driver, ...)`` on worker ``index`` and return its result."""
-        return self.submit(index, fn, *args, **kwargs).result()
+        return self.submit_task(index, *self._task(fn, args, kwargs)).result()
 
-    def map(self, tasks: Sequence[Tuple[int, Callable]]) -> List[object]:
-        """Run ``(worker index, fn)`` calls concurrently; join all."""
-        return self.run_tasks([(index, _call, (None, fn, (), {})) for index, fn in tasks])
+    def fan_out(self, calls: Sequence[Tuple[int, Callable, tuple]]) -> List[object]:
+        """Run ``(index, op, args)`` calls concurrently; join all."""
+        tasks = []
+        for index, fn, args in calls:
+            task, *task_args = self._task(fn, args)
+            tasks.append((index, task, task_args))
+        return self.run_tasks(tasks)
 
     def broadcast(self, fn: Callable, *args, **kwargs) -> List[object]:
         """Run ``fn(driver, ...)`` on every worker concurrently."""
-        return self.run_tasks(
-            [(i, _call, (None, fn, args, kwargs)) for i in range(self.n_workers)]
-        )
+        task, *task_args = self._task(fn, args, kwargs)
+        return self.run_tasks([(i, task, task_args) for i in range(self.n_workers)])
 
-    def add_finalizer(self, fn: Callable[[], None]) -> None:
-        """Register a hook to run (once) at shutdown, before workers stop.
-
-        The driver uses this to snapshot worker-side state (stats,
-        clocks) while the workers still exist, so benchmarks can shut
-        the pool down and *then* read counters — the same call order
-        the thread executor supports for free.
-        """
-        self._finalizers.append(fn)
+    def inspect(self, op: Callable) -> List[object]:
+        """Read-only ``op`` per worker; after shutdown, from the snapshot
+        taken while the workers still ran (only :data:`ops.SNAPSHOT`)."""
+        if not self._shutdown_started:
+            return self.broadcast(op)
+        if op not in ops.SNAPSHOT:
+            raise ConcurrencyError("executor is shut down")
+        k = ops.SNAPSHOT.index(op)
+        values = []
+        for index, state in enumerate(self._final):
+            if state is None:
+                raise WorkerCrashError(
+                    f"shard worker {index} stopped before its state was captured"
+                )
+            values.append(state[k])
+        return values
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -752,11 +690,13 @@ class ProcessShardExecutor:
             already_started = self._shutdown_started
             self._shutdown_started = True
         if not already_started:
-            for finalizer in self._finalizers:
+            # Snapshot what reports may still ask for, while the workers
+            # exist, so counters can be read after close().
+            for index in range(self.n_workers):
                 try:
-                    finalizer()
-                # repro: allow[bare-except] -- best-effort snapshot hooks: a
-                # dead worker must not block reaping the rest
+                    self._final[index] = self.run(index, ops.snapshot)
+                # repro: allow[bare-except] -- best-effort snapshot: a dead
+                # worker must not block reaping the rest
                 except Exception:
                     pass
             _drive(list(self._held.exchanges))
@@ -819,369 +759,6 @@ def _drive(exchanges: Sequence[_Exchange]) -> None:
         pending = [ex for ex in pending if not ex.done]
 
 
-# ----------------------------------------------------------------------
-# Stats façade
-# ----------------------------------------------------------------------
-class ProcessAggregateStats:
-    """An :class:`AggregateStats`-shaped view over worker-side collectors.
-
-    Reads fetch the per-shard :class:`~repro.flash.stats.FlashStats`
-    from the workers (or from the shutdown snapshot) and delegate to a
-    real :class:`AggregateStats` built on the fetch, so every derived
-    metric stays consistent with the thread executor.  ``phase`` is
-    parent-side state: the innermost name rides along with each command
-    and is re-pushed around the operation inside the worker — the
-    process twin of the thread driver's phase capture.
-    """
-
-    def __init__(self, driver: "ProcessShardedDriver"):
-        self._driver = driver
-        self._phases = threading.local()
-
-    def _stack(self) -> List[str]:
-        stack = getattr(self._phases, "stack", None)
-        if stack is None:
-            stack = self._phases.stack = []
-        return stack
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        stack = self._stack()
-        stack.append(name)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    @property
-    def current_phase(self) -> str:
-        stack = self._stack()
-        return stack[-1] if stack else DEFAULT_PHASE
-
-    def _agg(self) -> AggregateStats:
-        return AggregateStats(self._driver._states("stats", _op_stats))
-
-    def reset(self) -> None:
-        self._driver._broadcast(_op_reset_stats)
-
-    def __getattr__(self, name: str):
-        # Properties resolve to values, methods to bound methods of a
-        # freshly fetched aggregate — one fetch per access either way.
-        # Private/dunder lookups (pickle, copy) must not fan out.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._agg(), name)
-
-
-class _RemoteChip:
-    """Parent-side stand-in for a worker-owned chip (introspection only).
-
-    Exposes the two attributes measurement code reads off
-    ``driver.chips`` — the simulated clock and the stats collector —
-    plus sync/close, all marshalled to the owning worker (or served
-    from the shutdown snapshot once the pool has stopped).
-    """
-
-    def __init__(self, owner: "ProcessShardedDriver", index: int):
-        self._owner = owner
-        self._index = index
-        self.spec = owner.executor.factories[index].spec
-
-    @property
-    def clock_us(self) -> float:
-        return self._owner._state(self._index, "clock_us", _op_clock)
-
-    @property
-    def stats(self):
-        return self._owner._state(self._index, "stats", _op_stats)
-
-    def sync(self) -> None:
-        self._owner._run(self._index, _op_sync)
-
-    def close(self) -> None:
-        self._owner._run(self._index, _op_close)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RemoteChip shard={self._index}>"
-
-
-# ----------------------------------------------------------------------
-# The driver façade
-# ----------------------------------------------------------------------
-class ProcessShardedDriver:
-    """A sharded driver whose shards live in worker processes.
-
-    Presents the :class:`~repro.sharding.driver.ShardedDriver` surface —
-    routing, batched fan-out entry points, aggregated stats/GC/wear/fsck
-    reporting — over a :class:`ProcessShardExecutor`.  There are no
-    local shard driver objects: every operation is marshalled to the
-    owning shard's worker, with page payloads in shared memory.
-
-    Construction happens through :func:`repro.methods.make_method` with
-    a ``proc`` label (fresh shards), ``recover_all(...,
-    parallel="process")`` (existing images) or ``Database.open(...,
-    parallel="process")``.
-    """
-
-    def __init__(
-        self,
-        factories: Optional[Sequence[ShardFactory]] = None,
-        router: Optional[ShardRouter] = None,
-        executor: Optional[ProcessShardExecutor] = None,
-    ):
-        if executor is None:
-            if not factories:
-                raise ConfigurationError(
-                    "ProcessShardedDriver needs shard factories or a "
-                    "running ProcessShardExecutor"
-                )
-            executor = ProcessShardExecutor(factories)
-        self.executor = executor
-        n = executor.n_workers
-        self.router = router if router is not None else HashRouter(n)
-        if self.router.n_shards != n:
-            raise ConfigurationError(
-                f"router partitions {self.router.n_shards} shards but the "
-                f"executor runs {n} workers"
-            )
-        metas = executor.meta
-        sizes = {meta["page_size"] for meta in metas}
-        if len(sizes) != 1:
-            raise ConfigurationError(
-                f"shards disagree on logical page size: {sorted(sizes)}"
-            )
-        self.name = f"{metas[0]['name']} x{n} proc"
-        self.tightly_coupled = any(meta["tightly_coupled"] for meta in metas)
-        self.group_flushes = 0
-        self._counter_lock = threading.Lock()
-        self._stats = ProcessAggregateStats(self)
-        self._final_state: List[Optional[dict]] = [None] * n
-        self._chips = [_RemoteChip(self, i) for i in range(n)]
-        executor.add_finalizer(self._capture_final_state)
-
-    # ------------------------------------------------------------------
-    # Routing + marshalling
-    # ------------------------------------------------------------------
-    def shard_index(self, pid: int) -> int:
-        index = self.router.shard_of(pid)
-        if not 0 <= index < self.n_shards:
-            raise ConfigurationError(
-                f"router sent pid {pid} to shard {index} of {self.n_shards}"
-            )
-        return index
-
-    def _phase(self) -> Optional[str]:
-        phase = self._stats.current_phase
-        return None if phase == DEFAULT_PHASE else phase
-
-    def _run(self, index: int, fn: Callable, *args):
-        return self.executor.submit_task(index, _call, self._phase(), fn, args, {}).result()
-
-    def _broadcast(self, fn: Callable, *args) -> List[object]:
-        call = (self._phase(), fn, args, {})
-        return self.executor.run_tasks([(i, _call, call) for i in range(self.n_shards)])
-
-    # ------------------------------------------------------------------
-    # PageUpdateMethod contract — single-page paths
-    # ------------------------------------------------------------------
-    def _put(self, op: str, pid: int, data: bytes, logs) -> None:
-        self.executor.submit_task(
-            self.shard_index(pid), _put_page, op, self._phase(), pid, data, logs
-        ).result()
-
-    def load_page(self, pid: int, data: bytes) -> None:
-        self._put("load_page", pid, data, None)
-
-    def read_page(self, pid: int) -> bytes:
-        return self.executor.submit_task(self.shard_index(pid), _read, self._phase(), pid).result()
-
-    def write_page(
-        self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
-    ) -> None:
-        self._put("write_page", pid, data, update_logs)
-
-    # ------------------------------------------------------------------
-    # Fan-out paths
-    # ------------------------------------------------------------------
-    def end_of_load(self) -> None:
-        self._broadcast(_op_end_of_load)
-
-    def _fan_out_batches(
-        self, op: str, pages, update_logs, flush_all: bool
-    ) -> None:
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        phase = self._phase()
-        calls = []
-        for index in range(self.n_shards) if flush_all else sorted(per_shard):
-            group = per_shard.get(index, [])
-            logs = None
-            if op == "write_pages" and update_logs is not None:
-                logs = {
-                    pid: update_logs[pid] for pid, _ in group if pid in update_logs
-                }
-            calls.append((index, _put_batch, (op, phase, group, logs, flush_all)))
-        self.executor.run_tasks(calls)
-
-    def load_pages(self, pages) -> None:
-        self._fan_out_batches("load_pages", pages, None, flush_all=False)
-
-    def write_pages(self, pages, update_logs=None) -> None:
-        self._fan_out_batches("write_pages", pages, update_logs, flush_all=False)
-
-    def flush(self) -> None:
-        self.group_flush()
-
-    def group_flush(self, pages=None, update_logs=None) -> None:
-        """Drain every shard's buffers concurrently and join.
-
-        Same durability horizon as the serial driver's group flush;
-        with ``pages``, each shard's slice of the batch is written and
-        its buffers drained inside one worker command sequence, and
-        shards with no pages in the batch still flush.
-        """
-        if pages is None:
-            self._broadcast(_op_flush)
-        else:
-            self._fan_out_batches("write_pages", pages, update_logs, flush_all=True)
-        with self._counter_lock:
-            self.group_flushes += 1
-
-    def fsck(self, repair: bool = True):
-        """Scan and repair every shard concurrently; join, then merge."""
-        from ..core.fsck import FsckReport
-
-        reports = self._broadcast(_op_fsck, repair)
-        return FsckReport.merge(list(reports))
-
-    def sync(self) -> None:
-        self._broadcast(_op_sync)
-
-    def close(self) -> None:
-        """Close every shard chip in its worker, then stop the pool.
-
-        Benchmarks may stop the executor first and read counters from
-        the final-state snapshot before closing; in that case the
-        workers already closed their chips on the way out, so there is
-        nothing left to broadcast.
-        """
-        try:
-            if not self.executor.is_shutdown:
-                self._broadcast(_op_close)
-        finally:
-            self.executor.shutdown()
-
-    # ------------------------------------------------------------------
-    # Worker-state access (live before shutdown, snapshot after)
-    # ------------------------------------------------------------------
-    def _capture_final_state(self) -> None:
-        for i in range(self.n_shards):
-            try:
-                self._final_state[i] = self._run(i, _op_final_state)
-            except Exception:
-                self._final_state[i] = None
-
-    def _final(self, index: int) -> dict:
-        state = self._final_state[index]
-        if state is None:
-            raise WorkerCrashError(
-                f"shard worker {index} stopped before its state was captured"
-            )
-        return state
-
-    def _state(self, index: int, key: str, op: Callable):
-        if self.executor.is_shutdown:
-            return self._final(index)[key]
-        return self._run(index, op)
-
-    def _states(self, key: str, op: Callable) -> List:
-        if self.executor.is_shutdown:
-            return [self._final(i)[key] for i in range(self.n_shards)]
-        return list(self._broadcast(op))
-
-    def chip_clocks(self) -> List[float]:
-        return self._states("clock_us", _op_clock)
-
-    def allocation_horizon(self) -> int:
-        """Highest recovered pid + 1 across all shards (post-recovery)."""
-        return max(self._states("horizon", _op_horizon), default=0)
-
-    def differential_page_count(self) -> int:
-        return sum(self._states("differential_pages", _op_diff_count))
-
-    def dump_images(self) -> List[Dict[str, object]]:
-        """Per-shard flash images (equivalence testing; memory backends)."""
-        return list(self._broadcast(_op_dump_image))
-
-    # ------------------------------------------------------------------
-    # Aggregated introspection
-    # ------------------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return self.executor.n_workers
-
-    @property
-    def chips(self) -> List[_RemoteChip]:
-        return list(self._chips)
-
-    @property
-    def spec(self) -> FlashSpec:
-        return self.executor.factories[0].spec
-
-    @property
-    def stats(self) -> ProcessAggregateStats:
-        return self._stats
-
-    @property
-    def page_size(self) -> int:
-        return self.executor.meta[0]["page_size"]
-
-    @property
-    def effective_max(self) -> Optional[int]:
-        """Representative PDL Case-3 horizon (None for non-PDL shards)."""
-        return self.executor.meta[0]["effective_max"]
-
-    @property
-    def total_blocks(self) -> int:
-        return sum(f.spec.n_blocks for f in self.executor.factories)
-
-    @property
-    def recovery_reports(self) -> List[object]:
-        """Per-shard Figure-11 reports from the ready handshake."""
-        return [meta.get("report") for meta in self.executor.meta]
-
-    def gc_report(self) -> Dict[str, object]:
-        """Aggregated space-management health across the array."""
-        per_shard = self._states("gc", _op_gc_info)
-        present = [entry for entry in per_shard if entry is not None]
-        agg = self._stats._agg()
-        return {
-            "per_shard": per_shard,
-            "total_collections": sum(e["collections"] for e in present),
-            "total_pages_relocated": sum(e["pages_relocated"] for e in present),
-            "total_incremental_steps": sum(e["incremental_steps"] for e in present),
-            "total_debt_blocks": sum(e["debt_blocks"] for e in present),
-            "write_stall_p99_us": agg.write_stall_percentile(99),
-            "write_stall_max_us": agg.max_write_stall_us,
-        }
-
-    def wear_report(self) -> Dict[str, object]:
-        """Aggregated wear: per-shard erase totals and worst block."""
-        shard_stats = self._states("stats", _op_stats)
-        per_shard = [stats.total_erases for stats in shard_stats]
-        worst = max(
-            (max(stats.block_erases, default=0) for stats in shard_stats),
-            default=0,
-        )
-        return {
-            "per_shard_erases": per_shard,
-            "total_erases": sum(per_shard),
-            "max_block_erases": worst,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ProcessShardedDriver {self.name!r} "
-            f"router={type(self.router).__name__} shards={self.n_shards}>"
-        )
+#: The process-backed array is the one sharded façade; the alias keeps
+#: code and tools that name it by this module working.
+ProcessShardedDriver = ShardedDriver

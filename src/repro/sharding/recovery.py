@@ -19,8 +19,9 @@ Two properties make this composition sound:
 
 The per-chip scans are independent (each reads only its own chip), so
 they can run concurrently: ``recover_all(..., parallel=True)`` executes
-the Figure-11 scans on one worker thread per shard and returns a
-:class:`~repro.sharding.executor.ParallelShardedDriver`, making the
+the Figure-11 scans on one worker thread per shard and keeps those
+workers as the returned array's
+:class:`~repro.sharding.executor.ThreadExecutor`, making the
 1/N-of-~60 s/GB recovery estimate a *measured* wall-clock property
 rather than a modeling claim (``benchmarks/bench_parallel.py`` records
 the serial-vs-threaded scan times; see ``docs/concurrency.md``).
@@ -34,7 +35,8 @@ from ..core.recovery import RecoveryReport, recover_driver
 from ..flash.chip import FlashChip
 from ..ftl.errors import ConfigurationError
 from .driver import ShardedDriver
-from .router import HashRouter, ShardRouter
+from .executor import InlineExecutor, ShardExecutor, ThreadExecutor
+from .router import ShardRouter
 
 
 def recover_all(
@@ -57,16 +59,18 @@ def recover_all(
     scans run concurrently on a
     :class:`~repro.sharding.executor.ShardExecutor` (one worker per
     chip — each scan reads and heals only its own device, so the scans
-    share nothing), and the worker pool is kept to drive the returned
-    :class:`~repro.sharding.executor.ParallelShardedDriver`.
+    share nothing), and the worker pool is kept as the returned array's
+    :class:`~repro.sharding.executor.ThreadExecutor`.
 
     With ``parallel="process"`` each scan runs inside its own spawned
     worker process over a *reopened* file image (the parent's chip
     handles are closed here and must not be used again), and the
-    returned driver is a
-    :class:`~repro.sharding.executor_proc.ProcessShardedDriver` — the
+    workers become the array's
+    :class:`~repro.sharding.executor_proc.ProcessShardExecutor` — the
     GIL-free variant; memory-backed chips are rejected because a worker
     cannot see parent memory.
+
+    Every mode returns the same :class:`ShardedDriver` façade.
 
     Returns the operational driver plus one :class:`RecoveryReport` per
     shard, in shard order.
@@ -81,23 +85,18 @@ def recover_all(
         )
     if parallel == "process":
         from .executor_proc import (
-            ProcessShardedDriver,
+            ProcessShardExecutor,
             recovery_factories_from_chips,
         )
 
-        factories = recovery_factories_from_chips(
-            chips, max_differential_size, driver_kwargs
+        executor = ProcessShardExecutor(
+            recovery_factories_from_chips(chips, max_differential_size, driver_kwargs)
         )
-        driver = ProcessShardedDriver(
-            factories, router=router or HashRouter(len(chips))
-        )
-        return driver, list(driver.recovery_reports)
-    if parallel:
-        from .executor import ParallelShardedDriver, ShardExecutor
-
-        executor = ShardExecutor(len(chips))
+        reports = [meta["report"] for meta in executor.meta]
+    elif parallel:
+        pool = ShardExecutor(len(chips))
         try:
-            recovered = executor.map(
+            recovered = pool.map(
                 [
                     (
                         i,
@@ -111,21 +110,15 @@ def recover_all(
                 ]
             )
         except BaseException:
-            executor.shutdown()
+            pool.shutdown()
             raise
-        shards = [driver for driver, _report in recovered]
         reports = [report for _driver, report in recovered]
-        sharded: ShardedDriver = ParallelShardedDriver(
-            shards, router or HashRouter(len(chips)), executor=executor
-        )
-        return sharded, reports
-    shards = []
-    reports = []
-    for chip in chips:
-        driver, report = recover_driver(
-            chip, max_differential_size=max_differential_size, **driver_kwargs
-        )
-        shards.append(driver)
-        reports.append(report)
-    sharded = ShardedDriver(shards, router or HashRouter(len(chips)))
-    return sharded, reports
+        executor = ThreadExecutor([driver for driver, _report in recovered], pool)
+    else:
+        recovered = [
+            recover_driver(chip, max_differential_size=max_differential_size, **driver_kwargs)
+            for chip in chips
+        ]
+        reports = [report for _driver, report in recovered]
+        executor = InlineExecutor([driver for driver, _report in recovered])
+    return ShardedDriver(executor, router), reports

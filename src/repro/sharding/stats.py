@@ -17,17 +17,21 @@ Two *simulated* time metrics matter for a multi-chip array:
   :meth:`chip_clocks` (per-chip monotonic clocks); the scaling
   benchmark reports ``max(clock deltas)`` as the parallel cost.
 
-Since the :class:`~repro.sharding.executor.ShardExecutor`, the parallel
-model is no longer only simulated: a
-:class:`~repro.sharding.executor.ParallelShardedDriver` really executes
-shards concurrently, and ``measure_sharded_updates`` reports measured
-wall-clock time next to these simulated metrics so the model can be
-validated (``benchmarks/bench_parallel.py``; see
-``docs/concurrency.md``).  The per-shard collectors merged here double
-as the per-worker accumulators — each :class:`FlashStats` is mutated
-only by its shard's single worker thread, and every aggregate property
-below (op totals, stall histograms, GC step counters) merges them on
-read, which is safe once the fan-out has joined.
+Under the thread and process executors the parallel model is no longer
+only simulated: shards really execute concurrently, and
+``measure_sharded_updates`` reports measured wall-clock time next to
+these simulated metrics so the model can be validated
+(``benchmarks/bench_parallel.py``; see ``docs/concurrency.md``).  The
+per-shard collectors merged here double as the per-worker accumulators —
+each :class:`FlashStats` is mutated only by its shard's single owner
+(the caller, a worker thread, or a worker process whose collector the
+façade fetches), and every aggregate property below merges them on
+read.
+
+A façade's phases live in one :class:`PhaseStack` owned by its executor:
+``driver.stats.phase(name)`` pushes there, on the caller's thread, and
+the executor re-pushes the innermost name on the shard's own collector
+around every op it runs, wherever that op runs.
 
 ``block_erases`` concatenates the shards' per-block wear counters in
 shard order, so wear reports and Figure-16-style histograms extend to
@@ -36,29 +40,68 @@ arrays unchanged.
 
 from __future__ import annotations
 
+import threading
 from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from ..flash.stats import FlashStats, OpCounts, StatsSnapshot, percentile
+from ..flash.stats import (
+    FlashStats,
+    OpCounts,
+    StatsSnapshot,
+    _PhaseScope,
+    percentile,
+)
+
+
+class PhaseStack(threading.local):
+    """Per thread: the phase names pushed through a façade's stats view."""
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+
+    def phase(self, name: str) -> _PhaseScope:
+        return _PhaseScope(self.names, name)
+
+    @property
+    def current(self) -> Optional[str]:
+        """The innermost pushed phase, or ``None`` outside any."""
+        names = self.names
+        return names[-1] if names else None
 
 
 class AggregateStats:
-    """A read-mostly merged view over per-shard :class:`FlashStats`."""
+    """A read-mostly merged view over per-shard :class:`FlashStats`.
 
-    def __init__(self, shard_stats: Sequence[FlashStats]):
+    ``phases`` is the owning façade's :class:`PhaseStack` and ``reset``
+    its way of clearing the collectors where they live; without them
+    (a plain aggregate over live collectors) phases are pushed onto, and
+    resets applied to, every collector directly.
+    """
+
+    def __init__(
+        self,
+        shard_stats: Sequence[FlashStats],
+        phases: Optional[PhaseStack] = None,
+        reset: Optional[Callable[[], None]] = None,
+    ):
         if not shard_stats:
             raise ValueError("AggregateStats needs at least one shard")
         self._shards = list(shard_stats)
+        self._phases = phases
+        self._reset = reset
 
     # ------------------------------------------------------------------
-    # Phase management (pushed onto every shard, for cross-shard work
-    # such as the initial bulk load or a group flush)
+    # Phase management (for cross-shard work such as the initial bulk
+    # load or a group flush)
     # ------------------------------------------------------------------
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         with ExitStack() as stack:
-            for stats in self._shards:
-                stack.enter_context(stats.phase(name))
+            if self._phases is not None:
+                stack.enter_context(self._phases.phase(name))
+            else:
+                for stats in self._shards:
+                    stack.enter_context(stats.phase(name))
             yield
 
     # ------------------------------------------------------------------
@@ -244,5 +287,8 @@ class AggregateStats:
         return StatsSnapshot(phases=phases, block_erases=erases)
 
     def reset(self) -> None:
+        if self._reset is not None:
+            self._reset()
+            return
         for stats in self._shards:
             stats.reset()

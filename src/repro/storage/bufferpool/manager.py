@@ -27,9 +27,9 @@ Locking model (see ``docs/bufferpool.md``):
 A serial driver (plain :class:`~repro.core.pdl.PdlDriver` or
 :class:`~repro.sharding.driver.ShardedDriver`) is not thread-safe, so
 when one is used with the daemon (two threads!) all driver calls are
-additionally serialized through an internal driver lock.  A
-:class:`~repro.sharding.executor.ParallelShardedDriver` needs no such
-lock — its per-shard mailboxes are the serialization — which is the
+additionally serialized through an internal driver lock.  An array on
+the thread or process executor needs no such lock — its per-shard
+workers are the serialization — which is the
 configuration where background write-back actually overlaps with client
 work.
 """

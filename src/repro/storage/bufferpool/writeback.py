@@ -9,8 +9,8 @@ drop for free.  :class:`WritebackDaemon` is that flusher:
   (or an eviction that found no clean frame kicks it);
 * it then drains cold dirty pages down to the **low watermark**, in
   batches, through the driver's batched ``write_pages`` path — on a
-  :class:`~repro.sharding.executor.ParallelShardedDriver` that single
-  call groups the batch by shard and fans it out across the shard
+  sharded array with a thread or process executor that single call
+  groups the batch by shard and fans it out across the shard
   executor's workers, so an N-shard array cleans N batches of frames in
   the wall-clock time of one;
 * the flash write happens **off every lock**: pages are pinned and

@@ -152,13 +152,13 @@ class Database:
 
         ``parallel=True`` (or ``parallel="thread"``) executes shards on
         worker threads (a
-        :class:`~repro.sharding.executor.ParallelShardedDriver`): the
+        :class:`~repro.sharding.executor.ThreadExecutor`): the
         reopen-time Figure-11 scans, every buffer-pool flush and
         ``Database.flush()``'s group flush fan out across the array, and
         the engine becomes safe to drive from concurrent client threads
         (see ``docs/concurrency.md``).  ``parallel="process"`` goes one
         step further and runs each shard in its own worker *process*
-        (a :class:`~repro.sharding.executor_proc.ProcessShardedDriver`)
+        (a :class:`~repro.sharding.executor_proc.ProcessShardExecutor`)
         with page payloads in shared memory, so shard work executes on
         separate cores past the GIL; the per-shard images are reopened
         inside the workers, which is why the configuration must be
@@ -422,19 +422,25 @@ class Database:
         parallel: "bool | str",
         driver_kwargs: dict,
     ) -> PageUpdateMethod:
+        from ..sharding.driver import ShardedDriver
+        from ..sharding.executor import InlineExecutor, ThreadExecutor
+
         if parallel == "process":
             # The freshly created images are handed to the workers,
             # which rebuild the per-shard PDL drivers from spawn-safe
             # recipes; the parent keeps no chip handles.
             from ..sharding.executor_proc import (
-                ProcessShardedDriver,
+                ProcessShardExecutor,
                 factories_from_chips,
             )
 
-            factories = factories_from_chips(
-                chips, f"PDL ({max_differential_size}B)", driver_kwargs
+            return ShardedDriver(
+                ProcessShardExecutor(
+                    factories_from_chips(
+                        chips, f"PDL ({max_differential_size}B)", driver_kwargs
+                    )
+                )
             )
-            return ProcessShardedDriver(factories)
         shards = [
             PdlDriver(chip, max_differential_size=max_differential_size, **driver_kwargs)
             for chip in chips
@@ -443,14 +449,10 @@ class Database:
             # Even one shard gains the executor's mailbox: all client
             # threads serialize through the worker, making the engine
             # safe for concurrent use.
-            from ..sharding.executor import ParallelShardedDriver
-
-            return ParallelShardedDriver(shards)
+            return ShardedDriver(ThreadExecutor(shards))
         if n_shards == 1:
             return shards[0]
-        from ..sharding.driver import ShardedDriver
-
-        return ShardedDriver(shards)
+        return ShardedDriver(InlineExecutor(shards))
 
     def close(self) -> None:
         """Flush everything durable, then release the device backends.
@@ -564,20 +566,9 @@ class Database:
 
 def _allocation_horizon(driver: PageUpdateMethod) -> int:
     """Highest recovered pid + 1: the durable logical allocation horizon."""
-    horizon = getattr(driver, "allocation_horizon", None)
-    if horizon is not None:
-        # Process-backed drivers hold no local mapping tables; the
-        # horizon is fetched from the workers.
-        return horizon()
-    shards = getattr(driver, "shards", None) or [driver]
-    top = -1
-    for shard in shards:
-        table_top = getattr(shard.ppmt, "max_pid", None)
-        if table_top is not None:
-            # Tiered tables track the horizon explicitly — walking them
-            # would demand-page the entire snapshot just to find a max.
-            top = max(top, table_top)
-            continue
-        for pid, _entry in shard.ppmt.items():
-            top = max(top, pid)
-    return top + 1
+    from ..sharding import ops
+    from ..sharding.driver import ShardedDriver
+
+    if isinstance(driver, ShardedDriver):
+        return driver.allocation_horizon()
+    return ops.horizon(driver)

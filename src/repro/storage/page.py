@@ -12,8 +12,8 @@ To keep logs minimal (and the comparison fair), :meth:`write_delta`
 diffs the new content against the current content and records only the
 genuinely changed byte runs.
 
-Concurrency: many client threads share one pool over a
-:class:`~repro.sharding.executor.ParallelShardedDriver`, so each page
+Concurrency: many client threads share one pool over a sharded array
+whose executor serializes callers per shard, so each page
 carries a small re-entrant latch serializing content mutation, log
 clearing and pin-count changes.  The latch is a *leaf* lock in the
 ordering ``pool lock → page latch → notification lock`` (see

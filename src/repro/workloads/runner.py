@@ -130,12 +130,8 @@ def aging_horizon(driver: PageUpdateMethod, change_size: int) -> int:
     ``coverage × page = effective_max``.  Other methods carry no
     accumulated per-page flash state, so their horizon is 1.
     """
-    if isinstance(driver, ShardedDriver):
-        # Shards age independently but identically; use a representative.
-        driver = driver.shards[0]
-    # Duck-typed on the PDL Case-3 horizon rather than the class: a
-    # process-backed array has no local shard drivers, only the
-    # representative effective_max its workers reported.
+    # Duck-typed on the PDL Case-3 horizon: a sharded array reports a
+    # representative shard's (shards age independently but identically).
     effective_max = getattr(driver, "effective_max", None)
     if effective_max is None:
         return 1
@@ -237,10 +233,11 @@ def measure_updates(
         label, runner, pct_changed, n_updates_till_write, method_kwargs
     )
     warm_to_steady_state(workload, runner)
-    stats = workload.driver.stats
-    snap = stats.snapshot()
+    # Re-read the view after the window: under the process executor it
+    # is a fetched copy of the workers' collectors.
+    snap = workload.driver.stats.snapshot()
     workload.run_updates(runner.measure_ops)
-    delta = stats.delta_since(snap)
+    delta = workload.driver.stats.delta_since(snap)
     return _measurement(label, runner.measure_ops, delta)
 
 
@@ -262,10 +259,9 @@ def measure_mix(
         label, runner, pct_changed, n_updates_till_write, method_kwargs
     )
     warm_to_steady_state(workload, runner)
-    stats = workload.driver.stats
-    snap = stats.snapshot()
+    snap = workload.driver.stats.snapshot()
     workload.run_mix(runner.measure_ops, pct_update)
-    delta = stats.delta_since(snap)
+    delta = workload.driver.stats.delta_since(snap)
     return _measurement(label, runner.measure_ops, delta)
 
 
@@ -300,7 +296,7 @@ class ShardScalingPoint:
     #: in-memory work, on the GIL.
     wall_s: float = 0.0
     #: Client threads that drove the window (1 = single caller; more
-    #: requires a thread-safe ParallelShardedDriver).
+    #: requires an executor that serializes callers per shard).
     client_threads: int = 1
     #: Whether shard operations actually executed on worker threads.
     measured_parallel: bool = False
@@ -368,23 +364,19 @@ def measure_sharded_updates(
         label, runner, pct_changed, n_updates_till_write, method_kwargs
     )
     driver = workload.driver
-    # Parallel drivers (thread or process) expose their worker pool as
-    # .executor; duck-typing covers ProcessShardedDriver, which shares
-    # no base class with the thread-backed driver.
-    is_parallel = getattr(driver, "executor", None) is not None
-    if client_threads > 1 and not is_parallel:
+    executor = getattr(driver, "executor", None)
+    serialized = executor is not None and executor.serializes_callers
+    if client_threads > 1 and not serialized:
         raise ConfigurationError(
             f"label {label!r} builds a serial driver; concurrent client "
             "threads need a parallel one (append ' par' or ' proc' to the "
             "label)"
         )
     warm_to_steady_state(workload, runner)
-    chips = getattr(driver, "chips", None) or [driver.chip]
-    stats = driver.stats
-    clocks_before = [chip.clock_us for chip in chips]
-    erases_before = [chip.stats.total_erases for chip in chips]
+    clocks_before = _chip_clocks(driver)
+    erases_before = _shard_erases(driver)
     cycles_before = workload.update_cycles
-    snap = stats.snapshot()
+    snap = driver.stats.snapshot()
     wall_start = time.perf_counter()
     try:
         if client_threads > 1:
@@ -393,37 +385,49 @@ def measure_sharded_updates(
             workload.run_updates(runner.measure_ops)
         wall_s = time.perf_counter() - wall_start
     finally:
-        if is_parallel:
-            # The workload is done with the driver; stop the worker
-            # pool so repeated measurements do not leak threads (or
-            # processes).  The chips stay open for the counter reads
-            # below — a process pool snapshots its workers' clocks and
-            # stats before stopping, so the reads still resolve.
-            driver.executor.shutdown()
-    delta = stats.delta_since(snap)
+        if executor is not None:
+            # The workload is done with the driver; stop the executor so
+            # repeated measurements do not leak threads (or processes).
+            # The counters stay readable: in-process collectors are live
+            # objects, and a process executor snapshots its workers'
+            # clocks and stats before stopping them.
+            executor.shutdown()
+    delta = driver.stats.delta_since(snap)
     clock_deltas = [
-        chip.clock_us - before for chip, before in zip(chips, clocks_before)
+        now - before for now, before in zip(_chip_clocks(driver), clocks_before)
     ]
+    lifetime_erases = _shard_erases(driver)
     per_shard_erases = [
-        chip.stats.total_erases - before
-        for chip, before in zip(chips, erases_before)
+        now - before for now, before in zip(lifetime_erases, erases_before)
     ]
     n_ops = workload.update_cycles - cycles_before
     return ShardScalingPoint(
         label=label,
-        n_shards=len(chips),
+        n_shards=len(clock_deltas),
         n_ops=n_ops,
         serial_us_per_op=sum(clock_deltas) / n_ops,
         parallel_us_per_op=max(clock_deltas) / n_ops,
         gc_us_per_op=delta.of_phase(GC).time_us / n_ops,
         erases=delta.total_erases,
         per_shard_erases=per_shard_erases,
-        lifetime_shard_erases=[chip.stats.total_erases for chip in chips],
+        lifetime_shard_erases=lifetime_erases,
         group_flushes=getattr(driver, "group_flushes", 0),
         wall_s=wall_s,
         client_threads=client_threads,
-        measured_parallel=is_parallel,
+        measured_parallel=serialized,
     )
+
+
+def _chip_clocks(driver: PageUpdateMethod) -> List[float]:
+    if isinstance(driver, ShardedDriver):
+        return driver.chip_clocks()
+    return [driver.chip.clock_us]
+
+
+def _shard_erases(driver: PageUpdateMethod) -> List[int]:
+    if isinstance(driver, ShardedDriver):
+        return driver.wear_report()["per_shard_erases"]
+    return [driver.stats.total_erases]
 
 
 @dataclass

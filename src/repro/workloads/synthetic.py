@@ -193,8 +193,8 @@ class SyntheticWorkload:
         slots), verification remains exact, and the final database state
         matches the serial run bit-for-bit.  Only the interleaving
         across pids is nondeterministic — which is the point: this
-        drives a thread-safe driver (e.g. a
-        :class:`~repro.sharding.executor.ParallelShardedDriver`) the way
+        drives a thread-safe driver (e.g. an ``xN par`` array on a
+        :class:`~repro.sharding.executor.ThreadExecutor`) the way
         concurrent DBMS clients would.  Serial drivers are not safe
         under this entry point; use :meth:`run_updates`.
         """

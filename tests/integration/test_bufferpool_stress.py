@@ -2,7 +2,7 @@
 
 Eight client threads hammer one :class:`Database` — a shared
 :class:`BufferManager` with background write-back over a 4-shard
-:class:`ParallelShardedDriver` — on both device backends.  Each client
+``x4 par`` array (thread executor) — on both device backends.  Each client
 owns a disjoint pid partition (the same single-writer-per-pid contract
 as the driver-level stress test) and accesses pages exclusively through
 ``pool.pinned``.  Afterwards the pool is held to the full standard:

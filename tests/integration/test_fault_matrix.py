@@ -8,7 +8,7 @@ page online (when a surviving copy, chain entry, or self-healing
 snapshot protocol exists) or *declare the precise loss*; and a
 subsequent Figure-11 recovery scan of the repaired chip must round-trip
 cleanly.  The matrix runs on the memory backend and the file backend,
-plus array-level smoke over ``ShardedDriver`` / ``ParallelShardedDriver``
+plus array-level smoke over ``ShardedDriver`` on the inline and thread executors
 / ``Database`` and a pre-checksum image compatibility check.
 """
 
@@ -176,9 +176,10 @@ class TestArrayFsck:
                 PdlDriver(FlashChip(SPEC, backend=injector), max_differential_size=64)
             )
         if parallel:
-            from repro.sharding.executor import ParallelShardedDriver
+            from repro.sharding.driver import ShardedDriver
+            from repro.sharding.executor import ThreadExecutor
 
-            return injectors, ParallelShardedDriver(shards)
+            return injectors, ShardedDriver(ThreadExecutor(shards))
         from repro.sharding.driver import ShardedDriver
 
         return injectors, ShardedDriver(shards)

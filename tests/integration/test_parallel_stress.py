@@ -1,6 +1,6 @@
 """Thread-safety stress: many clients hammering one parallel array.
 
-Eight client threads drive a 4-shard :class:`ParallelShardedDriver`
+Eight client threads drive a 4-shard ``x4 par`` array (thread executor)
 concurrently — single-page reads/writes, batched buffer-pool flushes and
 group flushes, on both device backends.  Afterwards the test holds the
 driver to the same standards as any serial run:

@@ -1,4 +1,4 @@
-"""ParallelShardedDriver: equivalence with the serial façade + plumbing."""
+"""The thread executor: equivalence with the serial array + plumbing."""
 
 import random
 import threading
@@ -11,7 +11,8 @@ from repro.flash.spec import FlashSpec
 from repro.ftl.errors import ConcurrencyError, ConfigurationError
 from repro.ftl.gc import GcConfig
 from repro.methods import make_method, parse_parallel_label
-from repro.sharding.executor import ParallelShardedDriver, ShardExecutor
+from repro.sharding.driver import ShardedDriver
+from repro.sharding.executor import ShardExecutor, ThreadExecutor
 from repro.sharding.recovery import recover_all
 
 SPEC = FlashSpec(n_blocks=12, pages_per_block=8, page_data_size=256, page_spare_size=16)
@@ -57,7 +58,8 @@ class TestLabelPlumbing:
     def test_par_label_builds_parallel_driver(self):
         driver = make_method("PDL (64B) x2 par", _chips(2))
         try:
-            assert isinstance(driver, ParallelShardedDriver)
+            assert isinstance(driver, ShardedDriver)
+            assert isinstance(driver.executor, ThreadExecutor)
             assert driver.name == "PDL (64B) x2 par"
         finally:
             driver.close()
@@ -73,7 +75,7 @@ class TestLabelPlumbing:
     def test_par_composes_with_gc_token(self):
         driver = make_method("PDL (64B) x2 par gc=cb", _chips(2))
         try:
-            assert isinstance(driver, ParallelShardedDriver)
+            assert isinstance(driver.executor, ThreadExecutor)
             assert all(s.gc.policy_label == "cb" for s in driver.shards)
         finally:
             driver.close()
@@ -89,9 +91,9 @@ class TestLabelPlumbing:
     def test_mismatched_executor_rejected(self):
         chips = _chips(2)
         shards = [make_method("PDL (64B)", chip) for chip in chips]
-        with ShardExecutor(3) as executor:
+        with ShardExecutor(3) as pool:
             with pytest.raises(ConcurrencyError):
-                ParallelShardedDriver(shards, executor=executor)
+                ThreadExecutor(shards, pool=pool)
 
 
 class TestEquivalenceWithSerial:
@@ -179,7 +181,7 @@ class TestParallelRecovery:
         serial, serial_reports = recover_all(chips, parallel=False)
         parallel, parallel_reports = recover_all(chips, parallel=True)
         try:
-            assert isinstance(parallel, ParallelShardedDriver)
+            assert isinstance(parallel.executor, ThreadExecutor)
             for ser, par in zip(serial_reports, parallel_reports):
                 assert ser.pages_scanned == par.pages_scanned
                 assert ser.base_pages_adopted == par.base_pages_adopted

@@ -3,7 +3,7 @@
 These tests exercise the GIL-free execution path end to end: the
 :class:`ShardFactory` recipes that rebuild drivers inside spawned
 workers, the :class:`ProcessShardExecutor` wire protocol, and the
-:class:`ProcessShardedDriver` façade — including the headline claim
+sharded façade on top of it — including the headline claim
 that a seeded workload produces *byte-identical* flash images and equal
 merged statistics whether it runs on the thread or the process backend.
 
@@ -28,16 +28,16 @@ from repro.ftl.errors import (
     ConfigurationError,
 )
 from repro.methods import make_method
-from repro.sharding.executor import make_executor
+from repro.sharding.driver import ShardedDriver
 from repro.sharding.executor_proc import (
     FRAMES_PER_WORKER,
     ProcessShardExecutor,
     ProcessShardedDriver,
     ShardFactory,
     WorkerCrashError,
-    dump_chip_image,
     factories_from_chips,
 )
+from repro.sharding.ops import dump_chip_image
 from repro.sharding.recovery import recover_all
 
 SPEC = FlashSpec(n_blocks=12, pages_per_block=8, page_data_size=256, page_spare_size=16)
@@ -207,32 +207,6 @@ class TestProcessExecutor:
             assert executor.run(0, _w_add, 2, b=2) == 4
         assert executor.is_shutdown
         _assert_reaped(executor)
-
-
-class TestMakeExecutor:
-    def test_thread_kind_default(self):
-        executor = make_executor(n_workers=2)
-        try:
-            assert executor.submit(0, lambda: 1).result() == 1
-        finally:
-            executor.shutdown()
-
-    def test_process_kind_builds_process_pool(self):
-        executor = make_executor(kind="process", factories=_factories(1))
-        try:
-            assert isinstance(executor, ProcessShardExecutor)
-            assert executor.run(0, _w_add, 3, b=4) == 7
-        finally:
-            executor.shutdown()
-        _assert_reaped(executor)
-
-    def test_process_kind_needs_factories(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(kind="process", n_workers=2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(kind="fiber", n_workers=2)
 
 
 class TestThreadProcessEquivalence:
@@ -423,7 +397,7 @@ class TestFrameRing:
         n_pages = 2 * FRAMES_PER_WORKER + 5
         rng = random.Random(17)
         model = {pid: rng.randbytes(PAGE) for pid in range(n_pages)}
-        driver = ProcessShardedDriver([ShardFactory(label="PDL (64B)", spec=spec)])
+        driver = ShardedDriver(ProcessShardExecutor([ShardFactory(label="PDL (64B)", spec=spec)]))
         try:
             driver.load_pages(model.items())
             driver.end_of_load()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.pdl import PdlDriver
+from repro.flash.backend import FileBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spec import FlashSpec
 from repro.flash.stats import WRITE_STEP
@@ -276,3 +277,43 @@ class TestGcReport:
         report = driver.gc_report()
         assert report["per_shard"] == [None]
         assert report["total_collections"] == 0
+
+
+class TestLifecycleFanOut:
+    """``close()``/``sync()`` attempt every shard even when one fails."""
+
+    @pytest.fixture(params=["", " par"], ids=["inline", "thread"])
+    def file_array(self, request, tmp_path):
+        chips = [
+            FlashChip(SPEC, backend=FileBackend.create(str(tmp_path / f"s{i}.img"), SPEC))
+            for i in range(2)
+        ]
+        driver = make_method("PDL (64B) x2" + request.param, chips)
+        yield chips, driver
+        driver.executor.shutdown()
+        for chip in chips:
+            chip.backend.close()
+
+    def test_failing_close_still_closes_later_shards(self, file_array, monkeypatch):
+        chips, driver = file_array
+
+        def broken_close():
+            raise OSError("shard 0 cannot close")
+
+        monkeypatch.setattr(chips[0], "close", broken_close)
+        with pytest.raises(OSError, match="shard 0"):
+            driver.close()
+        assert chips[1].backend._file.closed
+
+    def test_failing_sync_still_syncs_later_shards(self, file_array, monkeypatch):
+        chips, driver = file_array
+        synced = []
+
+        def broken_sync():
+            raise OSError("shard 0 cannot sync")
+
+        monkeypatch.setattr(chips[0], "sync", broken_sync)
+        monkeypatch.setattr(chips[1], "sync", lambda: synced.append(1))
+        with pytest.raises(OSError, match="shard 0"):
+            driver.sync()
+        assert synced == [1]

@@ -186,7 +186,7 @@ class TestParallelOpen:
         return images
 
     def test_parallel_create_and_serial_reopen(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
+        from repro.sharding.executor import ThreadExecutor
 
         with Database.open(
             tmp_path,
@@ -196,16 +196,16 @@ class TestParallelOpen:
             buffer_capacity=4,
             parallel=True,
         ) as db:
-            assert isinstance(db.driver, ParallelShardedDriver)
+            assert isinstance(db.driver.executor, ThreadExecutor)
             images = self._populate(db, n=9)
         # parallel is runtime state — a plain reopen recovers serially.
         with Database.open(tmp_path) as db2:
-            assert not isinstance(db2.driver, ParallelShardedDriver)
+            assert not isinstance(db2.driver.executor, ThreadExecutor)
             for pid, data in images.items():
                 assert db2.page(pid).data == data
 
     def test_parallel_reopen_recovers_concurrently(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
+        from repro.sharding.executor import ThreadExecutor
 
         with Database.open(
             tmp_path,
@@ -216,12 +216,12 @@ class TestParallelOpen:
         ) as db:
             images = self._populate(db, n=6)
         with Database.open(tmp_path, parallel=True) as db2:
-            assert isinstance(db2.driver, ParallelShardedDriver)
+            assert isinstance(db2.driver.executor, ThreadExecutor)
             for pid, data in images.items():
                 assert db2.page(pid).data == data
 
     def test_parallel_single_shard_gets_the_facade(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
+        from repro.sharding.executor import ThreadExecutor
 
         with Database.open(
             tmp_path,
@@ -230,11 +230,11 @@ class TestParallelOpen:
             buffer_capacity=4,
             parallel=True,
         ) as db:
-            assert isinstance(db.driver, ParallelShardedDriver)
+            assert isinstance(db.driver.executor, ThreadExecutor)
             assert db.driver.n_shards == 1
             images = self._populate(db, n=4)
         with Database.open(tmp_path, parallel=True) as db2:
-            assert isinstance(db2.driver, ParallelShardedDriver)
+            assert isinstance(db2.driver.executor, ThreadExecutor)
             for pid, data in images.items():
                 assert db2.page(pid).data == data
 

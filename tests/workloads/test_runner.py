@@ -4,7 +4,7 @@ import pytest
 
 from repro.flash.spec import TINY_SPEC
 from repro.ftl.errors import ConfigurationError
-from repro.sharding.executor import ParallelShardedDriver
+from repro.sharding.executor import ThreadExecutor
 from repro.workloads.runner import (
     MethodMeasurement,
     aging_horizon,
@@ -118,4 +118,4 @@ class TestWallClockMeasurement:
 
     def test_par_workload_builds_parallel_driver(self, small_runner):
         wl = build_workload("PDL (64B) x2 par", small_runner, 2.0, 1)
-        assert isinstance(wl.driver, ParallelShardedDriver)
+        assert isinstance(wl.driver.executor, ThreadExecutor)
