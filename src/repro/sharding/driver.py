@@ -46,7 +46,6 @@ from ..flash.spec import FlashSpec
 from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import ConfigurationError
 from . import ops
-from .executor import InlineExecutor
 from .router import HashRouter, ShardRouter
 from .stats import AggregateStats
 
@@ -61,17 +60,13 @@ def _logs_of(group, update_logs) -> Optional[Dict[int, List[ChangeRun]]]:
 class ShardedDriver(PageUpdateMethod):
     """A :class:`PageUpdateMethod` routing pages across shard drivers.
 
-    ``executor`` runs the shard ops; a plain sequence of shard drivers
-    is shorthand for an :class:`~repro.sharding.executor.InlineExecutor`
-    over them.  The façade owns the executor: :meth:`close` shuts it
-    down, and so does a failed construction.
+    ``executor`` runs the shard ops.  The façade owns it: :meth:`close`
+    shuts it down, and so does a failed construction.
     """
 
     def __init__(self, executor, router: Optional[ShardRouter] = None):
         # No super().__init__: there is no single chip; spec/stats/page_size
         # are overridden below instead.
-        if isinstance(executor, (list, tuple)):
-            executor = InlineExecutor(executor)
         self.executor = executor
         meta = executor.meta
         try:
@@ -225,11 +220,13 @@ class ShardedDriver(PageUpdateMethod):
     def stats(self) -> AggregateStats:  # type: ignore[override]
         """Merged view over the per-shard collectors: live objects under
         in-process executors, fetched (or, after shutdown, snapshotted)
-        copies under the process executor."""
+        copies under the process executor, taken on the view's first
+        counter read."""
+        executor = self.executor
         return AggregateStats(
-            self.executor.inspect(ops.stats),
-            phases=self.executor.phases,
-            reset=lambda: self.executor.broadcast(ops.reset_stats),
+            lambda: executor.inspect(ops.stats),
+            executor.phases,
+            lambda: executor.broadcast(ops.reset_stats),
         )
 
     @property

@@ -217,16 +217,6 @@ def gather(futures: Sequence[Future]) -> List[object]:
     return results
 
 
-def _settled(fn: Callable, *args) -> Future:
-    """Run ``fn(*args)`` now; its outcome as a finished future."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except BaseException as exc:  # delivered via gather()
-        future.set_exception(exc)
-    return future
-
-
 class InlineExecutor:
     """Shard ops on the calling thread, one shard after another."""
 
@@ -260,9 +250,18 @@ class InlineExecutor:
 
     def fan_out(self, calls: Sequence[Tuple[int, Callable, tuple]]) -> List[object]:
         phase = self.phases.current
-        return gather(
-            [_settled(self._call, index, phase, op, args) for index, op, args in calls]
-        )
+        results: List[object] = []
+        first_exc: Optional[BaseException] = None
+        for index, op, args in calls:
+            try:
+                results.append(self._call(index, phase, op, args))
+            except BaseException as exc:  # re-raised once every call ran
+                if first_exc is None:
+                    first_exc = exc
+                results.append(None)
+        if first_exc is not None:
+            raise first_exc
+        return results
 
     def broadcast(self, op: Callable, *args) -> List[object]:
         return self.fan_out([(i, op, args) for i in range(len(self.shards))])

@@ -634,6 +634,11 @@ class ProcessShardExecutor:
         ring = _RING_TASKS.get(fn)
         if ring is None:
             return (_call, phase, fn, args, kwargs)
+        if kwargs:
+            raise TypeError(
+                f"{fn.__name__} rides the frame ring and takes positional "
+                f"arguments only, not {sorted(kwargs)}"
+            )
         task, lead = ring
         return (task, *lead, phase, *args)
 

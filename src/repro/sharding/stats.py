@@ -41,8 +41,7 @@ arrays unchanged.
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..flash.stats import (
     FlashStats,
@@ -59,9 +58,6 @@ class PhaseStack(threading.local):
     def __init__(self) -> None:
         self.names: List[str] = []
 
-    def phase(self, name: str) -> _PhaseScope:
-        return _PhaseScope(self.names, name)
-
     @property
     def current(self) -> Optional[str]:
         """The innermost pushed phase, or ``None`` outside any."""
@@ -72,37 +68,36 @@ class PhaseStack(threading.local):
 class AggregateStats:
     """A read-mostly merged view over per-shard :class:`FlashStats`.
 
-    ``phases`` is the owning façade's :class:`PhaseStack` and ``reset``
-    its way of clearing the collectors where they live; without them
-    (a plain aggregate over live collectors) phases are pushed onto, and
-    resets applied to, every collector directly.
+    ``collectors`` returns the per-shard collectors; it is called on the
+    first counter read, so a view used only for :meth:`phase` or
+    :meth:`reset` never fetches a process worker's stats.  ``phases`` is
+    the owning façade's :class:`PhaseStack` and ``reset`` its way of
+    clearing the collectors where they live.
     """
 
     def __init__(
         self,
-        shard_stats: Sequence[FlashStats],
-        phases: Optional[PhaseStack] = None,
-        reset: Optional[Callable[[], None]] = None,
+        collectors: Callable[[], Sequence[FlashStats]],
+        phases: PhaseStack,
+        reset: Callable[[], None],
     ):
-        if not shard_stats:
-            raise ValueError("AggregateStats needs at least one shard")
-        self._shards = list(shard_stats)
+        self._collectors = collectors
+        self._fetched: Optional[List[FlashStats]] = None
         self._phases = phases
         self._reset = reset
+
+    @property
+    def _shards(self) -> List[FlashStats]:
+        if self._fetched is None:
+            self._fetched = list(self._collectors())
+        return self._fetched
 
     # ------------------------------------------------------------------
     # Phase management (for cross-shard work such as the initial bulk
     # load or a group flush)
     # ------------------------------------------------------------------
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        with ExitStack() as stack:
-            if self._phases is not None:
-                stack.enter_context(self._phases.phase(name))
-            else:
-                for stats in self._shards:
-                    stack.enter_context(stats.phase(name))
-            yield
+    def phase(self, name: str) -> _PhaseScope:
+        return _PhaseScope(self._phases.names, name)
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -287,8 +282,5 @@ class AggregateStats:
         return StatsSnapshot(phases=phases, block_erases=erases)
 
     def reset(self) -> None:
-        if self._reset is not None:
-            self._reset()
-            return
-        for stats in self._shards:
-            stats.reset()
+        self._reset()
+        self._fetched = None

@@ -552,9 +552,10 @@ class Database:
         """
         stats = self.driver.stats
         if not hasattr(stats, "report"):
-            from ..sharding.stats import AggregateStats
+            from ..sharding.stats import AggregateStats, PhaseStack
 
-            stats = AggregateStats([stats])
+            chip_stats = stats
+            stats = AggregateStats(lambda: [chip_stats], PhaseStack(), chip_stats.reset)
         return stats.report(buffer_stats=self.pool.stats)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

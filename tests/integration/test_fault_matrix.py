@@ -175,14 +175,11 @@ class TestArrayFsck:
             shards.append(
                 PdlDriver(FlashChip(SPEC, backend=injector), max_differential_size=64)
             )
-        if parallel:
-            from repro.sharding.driver import ShardedDriver
-            from repro.sharding.executor import ThreadExecutor
-
-            return injectors, ShardedDriver(ThreadExecutor(shards))
         from repro.sharding.driver import ShardedDriver
+        from repro.sharding.executor import InlineExecutor, ThreadExecutor
 
-        return injectors, ShardedDriver(shards)
+        executor = ThreadExecutor if parallel else InlineExecutor
+        return injectors, ShardedDriver(executor(shards))
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_sharded_fsck_merges_per_shard(self, parallel):

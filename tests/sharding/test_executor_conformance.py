@@ -215,3 +215,27 @@ def test_close_is_not_a_flush(kind, tmp_path):
         assert {p: recovered.read_page(p) for p in model} == model
     finally:
         recovered.close()
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_phase_and_reset_fetch_no_collectors(kind, monkeypatch):
+    """``stats.phase`` and ``stats.reset`` act where the phase stack and
+    collectors live; only a counter read fetches the collectors."""
+    token, _mode = KINDS[kind]
+    driver = make_method(LABEL + token, [FlashChip(SPEC) for _ in range(N_SHARDS)])
+    try:
+        driver.load_pages((pid, bytes(PAGE)) for pid in range(N_PAGES))
+        inspected = []
+        inspect = driver.executor.inspect
+        monkeypatch.setattr(
+            driver.executor, "inspect", lambda op: inspected.append(op) or inspect(op)
+        )
+        stats = driver.stats
+        with stats.phase("load"):
+            driver.write_page(1, bytes(PAGE))
+        stats.reset()
+        assert inspected == []
+        assert stats.totals().total_ops == 0
+        assert len(inspected) == 1
+    finally:
+        driver.close()

@@ -37,6 +37,7 @@ from repro.sharding.executor_proc import (
     WorkerCrashError,
     factories_from_chips,
 )
+from repro.sharding import ops
 from repro.sharding.ops import dump_chip_image
 from repro.sharding.recovery import recover_all
 
@@ -188,6 +189,12 @@ class TestProcessExecutor:
 
     def test_broadcast_hits_every_worker(self, pool):
         assert pool.broadcast(_w_add, 20, b=1) == [21, 21]
+
+    def test_frame_ring_op_rejects_keywords(self, pool):
+        # Ring tasks carry positional arguments only; a keyword must
+        # fail loudly rather than be dropped on the way to the worker.
+        with pytest.raises(TypeError, match="update_logs"):
+            pool.run(0, ops.write_page, 0, bytes(PAGE), update_logs=None)
 
     def test_needs_at_least_one_factory(self):
         with pytest.raises(ConfigurationError):

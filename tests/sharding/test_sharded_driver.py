@@ -13,6 +13,7 @@ from repro.ftl.errors import ConfigurationError
 from repro.ftl.opu import OpuDriver
 from repro.methods import make_method, parse_sharded_label, sharded_labels
 from repro.sharding.driver import ShardedDriver
+from repro.sharding.executor import InlineExecutor
 from repro.sharding.recovery import recover_all
 from repro.sharding.router import HashRouter, RangeRouter
 
@@ -77,11 +78,11 @@ class TestConstruction:
             PdlDriver(FlashChip(other), max_differential_size=64),
         ]
         with pytest.raises(ConfigurationError):
-            ShardedDriver(shards)
+            ShardedDriver(InlineExecutor(shards))
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigurationError):
-            ShardedDriver([])
+            ShardedDriver(InlineExecutor([]))
 
     def test_label_parsing(self):
         assert parse_sharded_label("PDL (256B) x4") == ("PDL (256B)", 4)
@@ -273,7 +274,7 @@ class TestGcReport:
         chips = _chips(1)
         from repro.ftl.ipu import IpuDriver
 
-        driver = ShardedDriver([IpuDriver(chips[0])])
+        driver = ShardedDriver(InlineExecutor([IpuDriver(chips[0])]))
         report = driver.gc_report()
         assert report["per_shard"] == [None]
         assert report["total_collections"] == 0
