@@ -3,9 +3,10 @@
 * Max_Differential_Size sweep — the paper's own x in PDL(x), finer grid;
 * differential encoding granularity — byte-wise maximal runs suppress
   Case 3 (footnote 16's sawtooth never resets) and hurt the write step;
-* GC victim policy — greedy vs round-robin vs wear-aware cost/benefit;
-* recovery-scan cost vs checkpointed fast restart (Section 4.5's
-  "further study" extension).
+* GC victim policy — greedy vs round-robin vs wear-aware cost/benefit.
+
+The recovery-scan vs snapshot+journal restart comparison (Section 4.5's
+"further study" extension) lives in ``bench_recovery.py``.
 """
 
 from repro.bench.experiments import (

@@ -2,7 +2,8 @@
 
 The integrity layer's acceptance bar, measured: inject every fault kind
 (bit rot, misdirected write, torn spare program) at every page role
-(live base, live differential, checkpoint snapshot), run the online
+(live base, live differential, and the newest mapping-snapshot seal —
+fsck's ``"checkpoint"`` role), run the online
 ``fsck``, and record per cell whether the damage was *detected* and how
 it was *dispositioned*.  Two engineered cells with surviving redundancy
 (a byte-identical base copy; an obsolete predecessor differential page)
@@ -12,8 +13,8 @@ reads per page and simulated seconds per GB.
 
 Hard gates (``check_fsck``): detection rate 1.0 across the matrix,
 repair rate 1.0 over the repairable cells, a clean post-repair re-scan
-in every cell, and checkpoint damage left untouched for the snapshot
-protocol to self-heal.
+in every cell, and mapping-region damage left untouched for the snapshot
+ping-pong to recycle.
 
 Runs standalone for CI smoke checks::
 
@@ -33,8 +34,8 @@ if str(_SRC) not in sys.path:
 
 from repro.bench.reporting import ResultTable  # noqa: E402
 from repro.core.fsck import FSCK_PHASE, fsck_driver  # noqa: E402
+from repro.core.mapping import MappingConfig  # noqa: E402
 from repro.core.pdl import PdlDriver  # noqa: E402
-from repro.ext.checkpoint import CheckpointManager  # noqa: E402
 from repro.flash.backend import FaultInjector, MemoryBackend  # noqa: E402
 from repro.flash.chip import FlashChip  # noqa: E402
 from repro.flash.spare import PageType, SpareArea  # noqa: E402
@@ -46,7 +47,7 @@ MATRIX_SPEC = FlashSpec(
     n_blocks=16, pages_per_block=8, page_data_size=256, page_spare_size=32
 )
 #: Scan-cost chip: big enough that the per-GB extrapolation is not
-#: dominated by the checkpoint region and the erased tail.
+#: dominated by the mapping region and the erased tail.
 SCAN_SPEC_FULL = FlashSpec(n_blocks=192, pages_per_block=64)
 SCAN_SPEC_TINY = FlashSpec(n_blocks=48, pages_per_block=32)
 
@@ -64,11 +65,14 @@ def _patched(data, offset, patch):
 
 
 def _build(spec, n_pids=N_PIDS, seed=SEED):
-    """A loaded, flushed, checkpointed device behind a fault injector."""
+    """A loaded, flushed, snapshotted device behind a fault injector."""
     injector = FaultInjector(MemoryBackend(spec), seed=seed)
     chip = FlashChip(spec, backend=injector)
-    driver = PdlDriver(chip, max_differential_size=64, checkpoint_region_blocks=2)
-    manager = CheckpointManager(driver, 2)
+    driver = PdlDriver(
+        chip,
+        max_differential_size=64,
+        mapping=MappingConfig.auto(spec, cache_entries=0),
+    )
     for pid in range(n_pids):
         driver.load_page(pid, bytes([pid % 255 + 1]) * spec.page_data_size)
     driver.end_of_load()
@@ -77,31 +81,32 @@ def _build(spec, n_pids=N_PIDS, seed=SEED):
             pid, _patched(bytes([pid % 255 + 1]) * spec.page_data_size, 5, b"\xbb")
         )
     driver.flush()
-    manager.checkpoint()
-    return injector, chip, driver, manager
+    driver.mapping.snapshot()
+    return injector, chip, driver
 
 
-def _target_addr(driver, manager, role, pid=VICTIM_PID):
+def _target_addr(driver, role, pid=VICTIM_PID):
     if role == "base":
         return driver.ppmt.require(pid).base_addr
     if role == "differential":
         return driver.ppmt.require(pid).diff_addr
-    return manager._half_pages(manager._seq)[0]
+    store = driver.mapping
+    return store.seal_addr(store.seq % 2)
 
 
 def _run_cell(spec, fault, role):
     """One matrix cell: build, injure, fsck, re-scan."""
-    injector, _chip, driver, manager = _build(spec)
-    addr = _target_addr(driver, manager, role)
+    injector, _chip, driver = _build(spec)
+    addr = _target_addr(driver, role)
     injector.inject(fault, addr)
     report = fsck_driver(driver)
     detected = any(f.addr == addr for f in report.faults)
     actions = sorted({f.action for f in report.faults})
     if role == "checkpoint":
-        # fsck never touches the checkpoint region; the ping-pong
-        # protocol self-heals once both halves have been recycled.
-        manager.checkpoint()
-        manager.checkpoint()
+        # fsck never touches the mapping region; the snapshot ping-pong
+        # rewrites the damaged half within two snapshots.
+        driver.mapping.snapshot()
+        driver.mapping.snapshot()
     rescan_clean = fsck_driver(driver).clean
     return {
         "fault": fault,
@@ -120,7 +125,7 @@ def _run_repairable_cells(spec):
     cells = []
 
     # A byte-identical obsolete copy of the base (GC-crash residue).
-    injector, chip, driver, _manager = _build(spec)
+    injector, chip, driver = _build(spec)
     entry = driver.ppmt.require(VICTIM_PID)
     copy_addr = driver.blocks.allocate(stream=driver._base_stream)
     data, _ = chip.read_page(entry.base_addr)
@@ -146,7 +151,7 @@ def _run_repairable_cells(spec):
     )
 
     # A surviving obsolete predecessor differential page.
-    injector, _chip, driver, _manager = _build(spec)
+    injector, _chip, driver = _build(spec)
     v1 = _patched(bytes([VICTIM_PID + 1]) * spec.page_data_size, 5, b"\xbb")
     driver.write_page(VICTIM_PID, _patched(v1, 9, b"\xcc"))
     driver.flush()  # the previous differential page goes obsolete, not erased
@@ -164,9 +169,7 @@ def _run_repairable_cells(spec):
 
 def _run_scan_cost(scan_spec):
     """Price a clean full-device sweep on a half-full larger chip."""
-    _injector, chip, driver, _manager = _build(
-        scan_spec, n_pids=scan_spec.n_pages // 4
-    )
+    _injector, chip, driver = _build(scan_spec, n_pids=scan_spec.n_pages // 4)
     snap = chip.stats.snapshot()
     report = fsck_driver(driver, repair=False)
     delta = chip.stats.delta_since(snap).of_phase(FSCK_PHASE)
@@ -223,7 +226,7 @@ def run_fsck_bench(scan_spec):
 
 def check_fsck(cells, repairable, scan):
     """Acceptance: 100% detection, repair wherever redundancy survives,
-    a clean re-scan everywhere, and an untouched checkpoint region."""
+    a clean re-scan everywhere, and an untouched mapping region."""
     undetected = [c for c in cells if not c["detected"]]
     assert not undetected, f"undetected cells: {undetected}"
     for cell in cells:
@@ -231,7 +234,7 @@ def check_fsck(cells, repairable, scan):
         assert cell["rescan_clean"], f"re-scan not clean: {cell}"
         if cell["role"] == "checkpoint":
             assert cell["actions"] == ["reported"], (
-                f"checkpoint damage must only be reported: {cell}"
+                f"mapping-region damage must only be reported: {cell}"
             )
     for cell in repairable:
         assert cell["repaired"] and cell["serves"], f"repair failed: {cell}"

@@ -56,7 +56,6 @@ from .flash import (
     FlashStats,
     MemoryBackend,
     PageType,
-    ReadCache,
     SpareArea,
     spec_for_database,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "GcConfig",
     "HashRouter",
     "MemoryBackend",
-    "ReadCache",
     "InlineExecutor",
     "IplDriver",
     "IpuDriver",

@@ -18,8 +18,8 @@ Three leak shapes this engine has actually hit in review:
 * crash/fault hooks (``set_crash_point``, ``crash_after``,
   ``on_operation``) armed without a matching disarm (same method with
   ``None``) in the same class or module — a leaked hook fires during
-  a later, unrelated operation (the checkpoint manager disarms in a
-  paired method; that pattern is accepted).
+  a later, unrelated operation (a disarm in a paired method of the same
+  class is accepted).
 """
 
 from __future__ import annotations

@@ -29,16 +29,15 @@ The decision tree per damaged page (see ``docs/integrity.md``):
    with ``ts > base_ts``? re-flush it to a fresh page
    (`repaired_chain`); none? revert the pid to its base image
    (`reverted`).
-3. checkpoint-region damage is *reported* only — the ping-pong snapshot
-   protocol self-heals on the next restart (CRC-sealed snapshots fall
-   back to the full Figure-11 scan).
+3. mapping-region damage is *reported* only (role ``"checkpoint"``) —
+   restart refuses a damaged seal or meta page and falls back to the
+   full Figure-11 scan, whose repair snapshot rewrites the region.
 4. unreferenced damaged pages are quarantined (marked obsolete) so the
    allocator and future scans never trust them.
 
 fsck charges real simulated I/O (it is an online scan, not a debug
 peek): one Tread per spare area plus one per programmed data area, and
-Twrites for every repair.  The chip's read cache is cleared first so a
-stale cached copy can never mask — or survive — device-level damage.
+Twrites for every repair.
 """
 
 from __future__ import annotations
@@ -156,11 +155,6 @@ def fsck_driver(driver: PdlDriver, repair: bool = True) -> FsckReport:
     """
     chip = driver.chip
     report = FsckReport(pages_scanned=chip.spec.n_pages)
-    if chip.cache is not None:
-        # Device truth only: a cached copy of a damaged (or about to be
-        # repaired) page must not shadow what is actually stored.
-        chip.cache.clear()
-
     io_before = chip.stats.of_phase(FSCK_PHASE)
     with chip.stats.phase(FSCK_PHASE):
         state = _sweep(chip, report)
@@ -257,14 +251,14 @@ def _mark_obsolete_quietly(chip: FlashChip, addr: int) -> None:
         pass
 
 
-def _checkpoint_region_pages(driver: PdlDriver) -> int:
-    """Pages reserved for restart metadata (checkpoint + mapping regions).
+def _mapping_region_pages(driver: PdlDriver) -> int:
+    """Pages reserved for restart metadata (the mapping region).
 
-    The allocator's ``exclude_blocks`` is the single source of truth: it
-    covers the clean-shutdown checkpoint region and, for demand-paged
-    drivers, the mapping journal/snapshot region right after it.  Both
-    hold only CRC-sealed CHECKPOINT-type pages, so fsck applies the same
-    report-but-never-touch policy to the whole prefix.
+    The allocator's ``exclude_blocks`` is the single source of truth: for
+    demand-paged drivers it covers the mapping journal/snapshot region at
+    block 0, and it is 0 otherwise.  The region holds only CRC-sealed
+    CHECKPOINT-type pages, so fsck reports damage there but never
+    touches it.
     """
     return driver.blocks.exclude_blocks * driver.spec.pages_per_block
 
@@ -594,12 +588,12 @@ def _reflush_salvaged(
 def _quarantine_unreferenced(
     driver: PdlDriver, state: _SweepState, report: FsckReport, repair: bool
 ) -> None:
-    """Decision-tree steps 3–4: checkpoint region and unreferenced damage."""
+    """Decision-tree steps 3–4: mapping-region and unreferenced damage."""
     chip = driver.chip
-    region_end = _checkpoint_region_pages(driver)
+    region_end = _mapping_region_pages(driver)
     expect_checksum = state.expect_checksum
 
-    # Checkpoint-region pages only ever hold CHECKPOINT pages written by
+    # Mapping-region pages only ever hold CHECKPOINT pages written by
     # program_page; anything else there — wrong type (a misdirected
     # write), failed or missing checksum (rot / a torn program), corrupt
     # spare — is reported but never touched: snapshots are CRC-sealed

@@ -166,8 +166,8 @@ def decode_mapping_page(
 class MappingConfig:
     """Geometry and policy of the tiered mapping subsystem.
 
-    The flash region is ``region_blocks`` blocks immediately after the
-    checkpoint region: first ``journal_blocks`` for the append-only
+    The flash region is the first ``region_blocks`` blocks of the chip:
+    first ``journal_blocks`` for the append-only
     delta journal, then two equal snapshot halves (ping-pong — the half
     being rewritten never overwrites the one being relied on).
 
@@ -428,7 +428,7 @@ class TieredMappingTable:
         self._store.record(REC_REMOVE, pid)
         return entry
 
-    # -- iteration (full table walk: fsck, checkpoint, verification) ----
+    # -- iteration (full table walk: fsck, verification) ----
     def items(self) -> Iterator[Tuple[int, MappingEntry]]:
         """Every live row.  Streams snapshot pages without admitting them
         to the clean cache (a full walk would otherwise evict the whole

@@ -72,7 +72,6 @@ class PdlDriver(PageUpdateMethod):
         coalesce_gap: int = DEFAULT_COALESCE_GAP,
         reserve_blocks: int = 2,
         victim_policy: Optional[VictimPolicy] = None,
-        checkpoint_region_blocks: int = 0,
         gc_config: Optional[GcConfig] = None,
         mapping: Optional[MappingConfig] = None,
     ) -> None:
@@ -83,7 +82,6 @@ class PdlDriver(PageUpdateMethod):
         self.max_differential_size = max_differential_size
         self.diff_unit = diff_unit
         self.coalesce_gap = coalesce_gap
-        self.checkpoint_region_blocks = checkpoint_region_blocks
         self.gc_config = gc_config if gc_config is not None else GcConfig()
         if victim_policy is None and self.gc_config.policy != "greedy":
             self.name += f" gc={self.gc_config.policy}"
@@ -95,14 +93,12 @@ class PdlDriver(PageUpdateMethod):
             # Local import: the ext layer imports this module at top level.
             from ..ext.journal import MappingStore
 
-            self.mapping = MappingStore(
-                chip, mapping, base_block=checkpoint_region_blocks
-            )
+            self.mapping = MappingStore(chip, mapping)
             mapping_region = mapping.region_blocks
         self.blocks = BlockManager(
             chip,
             reserve_blocks=reserve_blocks,
-            exclude_blocks=checkpoint_region_blocks + mapping_region,
+            exclude_blocks=mapping_region,
         )
         self.gc = GarbageCollector(
             chip, self.blocks, handler=self, policy=victim_policy,

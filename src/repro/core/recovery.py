@@ -111,9 +111,16 @@ def recover_tables(
     it restores the invariant that every post-recovery program gets a
     stamp strictly larger than anything already on flash.  When
     ``driver`` is supplied, its timestamp counter is resumed here, so
-    callers cannot forget to do it.
+    callers cannot forget to do it, and its mapping region is read but
+    never adopted from: a base or differential page found there is a
+    misdirected copy, and the region is the mapping store's to rewrite.
     """
     report = RecoveryReport()
+    region_end = (
+        driver.blocks.exclude_blocks * chip.spec.pages_per_block
+        if driver is not None
+        else 0
+    )
 
     def drop_diff(pid: int) -> None:
         """decreaseValidDifferentialCount for pid's adopted differential."""
@@ -139,7 +146,7 @@ def recover_tables(
                 # counter: a reused timestamp would break recovery's
                 # strictly-newer adoption rule on the next crash.
                 report.max_timestamp = max(report.max_timestamp, spare.timestamp or 0)
-                if spare.obsolete:
+                if spare.obsolete or addr < region_end:
                     continue
                 if spare.is_corrupt:
                     # A damaged type byte: the page holds *something* that
@@ -154,9 +161,8 @@ def recover_tables(
                 elif spare.type is PageType.DIFFERENTIAL:
                     survivors.append((addr, spare))
                     diff_addrs.append(addr)
-                # Pages of other types (checkpoint/mapping regions) are
-                # left untouched: recovery never destroys data it does not
-                # own.
+                # Pages of other types (mapping pages) are left
+                # untouched: recovery never destroys data it does not own.
             images = _prefetch_diff_pages(chip, diff_addrs, report)
             for addr, spare in survivors:
                 if spare.type is PageType.BASE:

@@ -23,8 +23,8 @@ class MappingEntry:
     """One ppmt row: where a logical page currently lives.
 
     ``base_ts`` mirrors the creation time stamp stored in the base page's
-    spare area; keeping it in memory lets runtime code and the checkpoint
-    extension reason about recency without extra flash reads.
+    spare area; keeping it in memory lets runtime code and the mapping
+    journal reason about recency without extra flash reads.
     ``diff_ts`` mirrors the adopted differential's entry stamp the same
     way — recovery's seeded tail scan and the mapping journal both need
     it to apply the strictly-newer adoption rule without re-reading the

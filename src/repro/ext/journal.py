@@ -2,12 +2,13 @@
 
 Section 4.5 of the paper sketches the missing piece of mapping-table
 persistence: "we have to log the changes in the mapping table into flash
-memory".  :mod:`repro.ext.checkpoint` implements the clean-shutdown half;
-this module implements the logging half, which together with the
-demand-paged table of :mod:`repro.core.mapping` turns crash restart from
-the O(device) Figure-11 scan into snapshot-load + journal-tail replay.
+memory".  This module logs those changes and snapshots the table, which
+together with the demand-paged table of :mod:`repro.core.mapping` turns
+restart from the O(device) Figure-11 scan into snapshot-load +
+journal-tail replay.  A clean shutdown is just a snapshot with an empty
+journal.
 
-Layout — ``region_blocks`` blocks right after the checkpoint region::
+Layout — the first ``region_blocks`` blocks of the chip::
 
     [ journal blocks | snapshot half 0 | snapshot half 1 ]
 
@@ -33,7 +34,8 @@ and the journal — O(dirty-since-snapshot), never O(device) — then
 replays the records and runs a *seeded* Figure-11 scan over only the
 snapshot-active and journaled-open blocks to recover mutations whose
 records were still pending at the crash.  Any structural damage beyond
-a torn tail demotes to the full scan, which is always sound, and ends
+a torn tail — including a seal page that is programmed but does not
+validate — demotes to the full scan, which is always sound, and ends
 with a fresh repair snapshot.  ``docs/recovery.md`` walks the decision
 tree and every crash window.
 """
@@ -114,20 +116,16 @@ class MappingStore:
     ``FlashStats.mapping_misses`` / ``mapping_writebacks``.
     """
 
-    def __init__(
-        self, chip: FlashChip, config: MappingConfig, base_block: int = 0
-    ) -> None:
+    def __init__(self, chip: FlashChip, config: MappingConfig) -> None:
         spec = chip.spec
-        if base_block + config.region_blocks >= spec.n_blocks:
+        if config.region_blocks >= spec.n_blocks:
             raise ConfigurationError(
-                f"mapping region of {config.region_blocks} blocks at "
-                f"{base_block} leaves no data blocks on a chip of "
-                f"{spec.n_blocks}"
+                f"mapping region of {config.region_blocks} blocks leaves "
+                f"no data blocks on a chip of {spec.n_blocks}"
             )
         self.chip = chip
         self.spec = spec
         self.config = config
-        self.base_block = base_block
         self.driver: Optional[PdlDriver] = None
         #: Current snapshot sequence number (0 = the implicit empty
         #: snapshot a fresh device starts from).
@@ -185,11 +183,10 @@ class MappingStore:
         return self.config.half_blocks * self.spec.pages_per_block
 
     def journal_page_addr(self, index: int) -> int:
-        return self.base_block * self.spec.pages_per_block + index
+        return index
 
     def half_blocks_of(self, half: int) -> range:
-        start = self.base_block + self.config.journal_blocks
-        start += half * self.config.half_blocks
+        start = self.config.journal_blocks + half * self.config.half_blocks
         return range(start, start + self.config.half_blocks)
 
     def half_start_page(self, half: int) -> int:
@@ -434,9 +431,7 @@ class MappingStore:
                     timestamp=new_seq,
                 ),
             )
-            for block in range(
-                self.base_block, self.base_block + self.config.journal_blocks
-            ):
+            for block in range(self.config.journal_blocks):
                 if not self.chip.is_block_erased(block):
                     self.chip.erase_block(block)
             self.stats.record_mapping_writeback(n_data + n_meta + 1)
@@ -567,25 +562,33 @@ def restart_driver(
 def _read_seal(
     store: MappingStore, half: int, report: RecoveryReport
 ) -> Optional[Tuple[int, int, int, int, int, int, int]]:
-    """Parse one half's seal page; None when absent/invalid."""
+    """Parse one half's seal page; None when it is erased.
+
+    Page programs are atomic, so a power cut leaves a seal either erased
+    (no snapshot was sealed in this half) or whole.  A seal that is
+    programmed but does not validate was damaged after the fact — bit
+    rot, a misdirected write — and may have been the newest snapshot,
+    so it raises :class:`MappingFormatError` rather than passing for
+    absent.
+    """
     chip = store.chip
     report.pages_scanned += 1
     try:
         data, spare = chip.read_page(store.seal_addr(half))
-    except ChecksumError:
+    except ChecksumError as exc:
+        raise MappingFormatError(f"seal of half {half} fails its checksum") from exc
+    if spare.is_erased and data == b"\xff" * len(data):
         return None
-    if spare.is_erased or spare.type is not PageType.CHECKPOINT:
-        return None
-    try:
-        magic, seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1 = (
-            _SEAL.unpack_from(data, 0)
-        )
-    except struct.error:
-        return None
-    if magic != SEAL_MAGIC or seq % 2 != half:
-        return None
-    if n_data + n_meta + 1 > store.half_pages:
-        return None
+    magic, seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1 = (
+        _SEAL.unpack_from(data, 0)  # a full page always holds a seal's bytes
+    )
+    if (
+        spare.type is not PageType.CHECKPOINT
+        or magic != SEAL_MAGIC
+        or seq % 2 != half
+        or n_data + n_meta + 1 > store.half_pages
+    ):
+        raise MappingFormatError(f"seal of half {half} does not validate")
     return seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1
 
 
@@ -597,15 +600,17 @@ def _load_snapshot(
     sequence 0 is then in effect, or the caller falls back to a scan)."""
     chip = store.chip
     with chip.stats.phase(MAPPING_PHASE):
-        seals = [(half, _read_seal(store, half, report)) for half in (0, 1)]
+        try:
+            seals = [(half, _read_seal(store, half, report)) for half in (0, 1)]
+        except MappingFormatError:
+            # Which snapshot is newest is unknowable: only the scan is sound.
+            return None
     best = None
     for half, seal in seals:
         if seal is not None and (best is None or seal[0] > best[1][0]):
             best = (half, seal)
     if best is None:
-        # Fresh device (or both halves rotted — the stale-epoch journal
-        # check demotes that case to the full scan).
-        return set(), 0
+        return set(), 0  # fresh device: the implicit empty snapshot 0
     half, (seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1) = best
     start = store.half_start_page(half)
     meta_addrs = [start + n_data + i for i in range(n_meta)]
@@ -991,7 +996,7 @@ def _full_scan_restart(
     chip = store.chip
     plain_ppmt = PhysicalPageMappingTable()
     plain_vdct = ValidDifferentialCountTable()
-    scan = recover_tables(chip, plain_ppmt, plain_vdct, driver=None)
+    scan = recover_tables(chip, plain_ppmt, plain_vdct, driver=driver)
     for name in (
         "pages_scanned",
         "base_pages_adopted",
@@ -1009,7 +1014,10 @@ def _full_scan_restart(
     # Newest epoch visible anywhere, so the repair snapshot outranks it.
     best_seq = store.seq
     for half in (0, 1):
-        seal = _read_seal(store, half, report)
+        try:
+            seal = _read_seal(store, half, report)
+        except MappingFormatError:
+            continue  # unknown epoch; repair snapshots recycle the half
         if seal is not None:
             best_seq = max(best_seq, seal[0])
     store.seq = best_seq

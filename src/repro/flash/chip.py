@@ -49,7 +49,6 @@ import numpy as np
 
 from .address import split_address
 from .backend import DeviceBackend, MemoryBackend
-from .cache import ReadCache
 from .errors import (
     AddressError,
     ChecksumError,
@@ -61,7 +60,6 @@ from .errors import (
 )
 from .spare import (
     CHECKSUM_HEADER_SIZE,
-    PageType,
     SpareArea,
     data_checksum,
     erased_spare,
@@ -148,10 +146,6 @@ class FlashChip:
     backend:
         Device backend holding the bits; defaults to a fresh
         :class:`MemoryBackend` — the original volatile emulator.
-    read_cache_pages:
-        Capacity of the LRU base-page read cache (0, the default,
-        disables it).  Cache hits skip both the backend access and the
-        ``Tread`` charge; see :mod:`repro.flash.cache`.
     realtime_scale:
         When positive, every operation *actually sleeps* ``scale ×`` its
         simulated latency, so the calling thread waits the way a host
@@ -168,7 +162,6 @@ class FlashChip:
         spec: Optional[FlashSpec] = None,
         stats: Optional[FlashStats] = None,
         backend: Optional[DeviceBackend] = None,
-        read_cache_pages: int = 0,
         realtime_scale: float = 0.0,
     ) -> None:
         if spec is None and backend is None:
@@ -196,7 +189,6 @@ class FlashChip:
         self.stats = stats or FlashStats(
             spec.n_blocks, spec.t_read_us, spec.t_write_us, spec.t_erase_us
         )
-        self.cache = ReadCache(read_cache_pages) if read_cache_pages > 0 else None
         if realtime_scale < 0:
             raise ValueError("realtime_scale must be non-negative")
         self.realtime_scale = realtime_scale
@@ -283,22 +275,13 @@ class FlashChip:
     def read_page(self, addr: int, verify: bool = True) -> Tuple[bytes, SpareArea]:
         """Read a page's data area and decoded spare area (one Tread).
 
-        With a read cache enabled, a hit serves both from RAM and
-        charges nothing; only base pages are admitted (see
-        :mod:`repro.flash.cache`).
-
         When the spare area carries a data checksum it is verified
-        against the data read back; a mismatch invalidates any cached
-        copy and raises :class:`~repro.flash.errors.ChecksumError`
-        (``verify=False`` skips the check — fsck reads suspect pages this
-        way to classify damage itself).
+        against the data read back; a mismatch raises
+        :class:`~repro.flash.errors.ChecksumError` (``verify=False`` skips
+        the check — fsck reads suspect pages this way to classify damage
+        itself).
         """
         self._check_addr(addr)
-        if self.cache is not None:
-            entry = self.cache.get(addr)
-            if entry is not None:
-                self.stats.record_cache_hit()
-                return entry
         self.stats.record_read()
         self._advance_clock(self.spec.t_read_us)
         data = self.backend.read_data(addr)
@@ -307,10 +290,6 @@ class FlashChip:
         spare = self._decoded_spare(addr)
         if verify:
             self._verify_checksum(addr, data, spare)
-        if self.cache is not None:
-            self.stats.record_cache_miss()
-            if verify and spare.type is PageType.BASE and not spare.obsolete:
-                self.cache.put(addr, data, spare)
         return data, spare
 
     def read_spare(self, addr: int) -> SpareArea:
@@ -326,12 +305,7 @@ class FlashChip:
     ) -> List[Tuple[bytes, SpareArea]]:
         """Read many pages in one backend call (N × Tread, batched I/O).
 
-        With the read cache disabled (the default), charges and results
-        are identical to N :meth:`read_page` calls.  The cache is never
-        consulted nor populated here — batch readers (GC, recovery)
-        stream pages once and would only thrash it — so with a cache
-        enabled this path always pays full Tread where single
-        :meth:`read_page` calls might hit for free.
+        Charges and results are identical to N :meth:`read_page` calls.
 
         Checksums are verified per page; the whole batch is charged
         before the first :class:`~repro.flash.errors.ChecksumError`
@@ -391,8 +365,6 @@ class FlashChip:
         self.backend.program_page(
             addr, payload, spare.encode(self.spec.page_spare_size)
         )
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     def program_pages(
         self, items: Sequence[Tuple[int, bytes, SpareArea]]
@@ -431,9 +403,6 @@ class FlashChip:
             if staged:
                 self.backend.program_pages(staged)
                 self._sleep_scaled(self.spec.t_write_us * len(staged))
-                if self.cache is not None:
-                    for addr in staged_addrs:
-                        self.cache.invalidate(addr)
 
     def _validate_program(self, addr: int, data: Buffer) -> Buffer:
         """Validate and normalize a program payload without copying it.
@@ -506,8 +475,6 @@ class FlashChip:
             self.backend.write_spare(
                 addr, chosen.encode(self.spec.page_spare_size), 1
             )
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     def program_spare(self, addr: int, spare: SpareArea) -> None:
         """Re-program only the spare area (one Twrite).
@@ -541,8 +508,6 @@ class FlashChip:
         self.stats.record_write()
         self._advance_clock(self.spec.t_write_us)
         self.backend.write_spare(addr, encoded, spare_programs + 1)
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     def mark_obsolete(self, addr: int) -> None:
         """Clear the obsolete flag byte in a page's spare area (one Twrite).
@@ -571,8 +536,6 @@ class FlashChip:
         patched = bytearray(current)
         patched[1] = 0x00
         self.backend.write_spare(addr, patched, spare_programs + 1)
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     # ------------------------------------------------------------------
     # Erase
@@ -592,9 +555,6 @@ class FlashChip:
         self.stats.record_erase(block)
         self._advance_clock(self.spec.t_erase_us)
         self.backend.erase_block(block)
-        if self.cache is not None:
-            start = block * self.spec.pages_per_block
-            self.cache.invalidate_range(start, start + self.spec.pages_per_block)
 
     # ------------------------------------------------------------------
     # Cost-free inspection (tests, assertions, recovery verification)
@@ -667,9 +627,6 @@ class FlashChip:
         self.stats.record_checksum_check()
         if data_checksum(data) != spare.checksum:
             self.stats.record_checksum_failure()
-            if self.cache is not None:
-                # A repaired page must never be shadowed by the bad copy.
-                self.cache.invalidate(addr)
             raise ChecksumError(
                 f"page {split_address(addr, self.spec)} data does not match "
                 f"its spare-area checksum"

@@ -168,12 +168,6 @@ class FlashStats:
         #: reads (totals/snapshot); per-op accounting itself is
         #: single-writer by the executor's one-worker-per-shard design.
         self._lock = threading.Lock()
-        #: Read-cache accounting (see :mod:`repro.flash.cache`): hits are
-        #: reads served from RAM — no flash operation, no Tread charge —
-        #: while misses count reads that fell through to the device (a
-        #: miss is *also* recorded as a normal read in its phase).
-        self.cache_hits: int = 0
-        self.cache_misses: int = 0
         #: Integrity accounting (see :mod:`repro.flash.spare`): how many
         #: page reads carried a spare-area checksum and were verified,
         #: and how many of those failed (raising ``ChecksumError``).
@@ -278,12 +272,6 @@ class FlashStats:
         bucket.time_us += self._t_erase
         self.block_erases[block] += 1
 
-    def record_cache_hit(self) -> None:
-        self.cache_hits += 1
-
-    def record_cache_miss(self) -> None:
-        self.cache_misses += 1
-
     def record_checksum_check(self) -> None:
         self.checksum_checks += 1
 
@@ -361,11 +349,6 @@ class FlashStats:
         erases = [now - then for now, then in zip(self.block_erases, snap.block_erases)]
         return StatsSnapshot(phases=phases, block_erases=erases)
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        accesses = self.cache_hits + self.cache_misses
-        return self.cache_hits / accesses if accesses else 0.0
-
     def write_stall_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of per-write GC stalls, in simulated us.
 
@@ -383,8 +366,6 @@ class FlashStats:
         """Clear all counters (e.g. after loading + warm-up)."""
         self.phases.clear()
         self.block_erases = [0] * len(self.block_erases)
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.checksum_checks = 0
         self.checksum_failures = 0
         self.write_stall_us = []

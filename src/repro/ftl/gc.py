@@ -378,8 +378,8 @@ class GarbageCollector:
         Mid-compaction the tables are transiently inconsistent — a
         relocated differential page's vdct row is dropped while mapping
         entries still point into the victim until the compaction buffer
-        flushes.  Consistency points (mapping snapshots, checkpoints)
-        call this first so they never serialize that state.
+        flushes.  Consistency points (mapping snapshots) call this
+        first so they never serialize that state.
         """
         if self._victim is None:
             return

@@ -91,7 +91,6 @@ class ShardFactory:
     path: Optional[str] = None
     recover: bool = False
     max_differential_size: int = 256
-    read_cache_pages: int = 0
     realtime_scale: float = 0.0
     driver_kwargs: Dict[str, Any] = field(default_factory=dict)
 
@@ -106,7 +105,6 @@ class ShardFactory:
         chip = FlashChip(
             self.spec,
             backend=backend,
-            read_cache_pages=self.read_cache_pages,
             realtime_scale=self.realtime_scale,
         )
         if self.recover:
@@ -130,7 +128,7 @@ def factories_from_chips(
 
     A worker cannot adopt a live parent object, so the chips are used
     only as configuration donors: geometry, backend kind (memory or
-    file path), read-cache size and realtime scale.  File handles are
+    file path) and realtime scale.  File handles are
     closed here — the worker owns the image from now on.  Chips that
     already hold programmed pages are rejected: their content would be
     silently lost for memory backends, so existing images must go
@@ -162,7 +160,6 @@ def factories_from_chips(
                 label=label,
                 spec=chip.spec,
                 path=path,
-                read_cache_pages=chip.cache.capacity if chip.cache is not None else 0,
                 realtime_scale=chip.realtime_scale,
                 driver_kwargs=dict(driver_kwargs),
             )
@@ -194,7 +191,6 @@ def recovery_factories_from_chips(
                 "cannot see parent memory — use parallel=True for threads)"
             )
         path = chip.backend.path
-        cache_pages = chip.cache.capacity if chip.cache is not None else 0
         scale = chip.realtime_scale
         chip.close()
         factories.append(
@@ -204,7 +200,6 @@ def recovery_factories_from_chips(
                 path=path,
                 recover=True,
                 max_differential_size=max_differential_size,
-                read_cache_pages=cache_pages,
                 realtime_scale=scale,
                 driver_kwargs=dict(driver_kwargs),
             )

@@ -27,9 +27,7 @@ subsequent eviction) and returned to the reclaim order via
 unpinned or cleaned.  Clock and 2Q revisit skipped frames naturally.
 
 This module deliberately imports nothing from the flash or FTL layers
-besides the shared :class:`~repro.ftl.errors.ConfigurationError`, so the
-:class:`~repro.flash.cache.ReadCache` can reuse :class:`LruPolicy`
-(one LRU implementation in the tree, not two).
+besides the shared :class:`~repro.ftl.errors.ConfigurationError`.
 """
 
 from __future__ import annotations

@@ -126,7 +126,6 @@ class Database:
         spec: Optional[FlashSpec] = None,
         n_shards: Optional[int] = None,
         max_differential_size: Optional[int] = None,
-        read_cache_pages: int = 0,
         parallel: "bool | str" = False,
         buffer_policy: str = "lru",
         writeback=None,
@@ -193,8 +192,7 @@ class Database:
         layout change and raises
         :class:`~repro.ftl.errors.ConfigurationError`.
 
-        ``read_cache_pages`` enables the per-chip LRU base-page read
-        cache; remaining keyword arguments go to the (per-shard)
+        Remaining keyword arguments go to the (per-shard)
         :class:`~repro.core.pdl.PdlDriver` constructor or recovery.
         GC tuning rides through them — e.g.
         ``gc_config=GcConfig(policy="cb", incremental_steps=4)``
@@ -212,7 +210,6 @@ class Database:
                 spec,
                 n_shards,
                 max_differential_size,
-                read_cache_pages,
                 parallel,
                 pool_kwargs,
                 driver_kwargs,
@@ -225,7 +222,6 @@ class Database:
             spec if spec is not None else BENCH_SPEC,
             n_shards if n_shards is not None else 1,
             max_differential_size if max_differential_size is not None else 256,
-            read_cache_pages,
             parallel,
             pool_kwargs,
             driver_kwargs,
@@ -241,7 +237,6 @@ class Database:
         spec: FlashSpec,
         n_shards: int,
         max_differential_size: int,
-        read_cache_pages: int,
         parallel: bool,
         pool_kwargs: dict,
         driver_kwargs: dict,
@@ -279,11 +274,7 @@ class Database:
                 # over rather than resurrecting a half-created image.
                 os.remove(image)
             chips.append(
-                FlashChip(
-                    spec,
-                    backend=FileBackend.create(image, spec),
-                    read_cache_pages=read_cache_pages,
-                )
+                FlashChip(spec, backend=FileBackend.create(image, spec))
             )
         driver = cls._assemble(
             chips, n_shards, max_differential_size, parallel, driver_kwargs
@@ -316,7 +307,6 @@ class Database:
         spec: Optional[FlashSpec],
         n_shards: Optional[int],
         max_differential_size: Optional[int],
-        read_cache_pages: int,
         parallel: bool,
         pool_kwargs: dict,
         driver_kwargs: dict,
@@ -385,7 +375,6 @@ class Database:
             FlashChip(
                 stored_spec,
                 backend=FileBackend.open(_shard_image(path, i), stored_spec),
-                read_cache_pages=read_cache_pages,
             )
             for i in range(stored_shards)
         ]

@@ -7,7 +7,7 @@ def _worker_main(conn):
 
 
 def plain_recipe(path, spec):
-    return ShardFactory(path=str(path), spec=spec, read_cache_pages=0)  # noqa: F821
+    return ShardFactory(path=str(path), spec=spec)  # noqa: F821
 
 
 def module_target(conn):

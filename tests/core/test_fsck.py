@@ -211,25 +211,28 @@ class TestQuarantine:
         assert report.check.consistent
 
     def test_checkpoint_damage_reported_not_touched(self, tiny_spec):
-        from repro.ext.checkpoint import CheckpointManager
+        from repro.core.mapping import MappingConfig
 
         injector = FaultInjector(MemoryBackend(tiny_spec), seed=7)
         chip = FlashChip(tiny_spec, backend=injector)
         driver = PdlDriver(
-            chip, max_differential_size=64, checkpoint_region_blocks=2
+            chip,
+            max_differential_size=64,
+            mapping=MappingConfig.auto(tiny_spec, cache_entries=0),
         )
-        manager = CheckpointManager(driver, 2)
         driver.load_page(0, _page(driver))
-        manager.checkpoint()
-        # Rot the snapshot header page (the ping-pong half seq 1 used).
-        snapshot_addr = manager._half_pages(1)[0]
-        injector.inject("bit_rot", snapshot_addr)
-        before = injector.inner.read_data(snapshot_addr)
+        store = driver.mapping
+        store.snapshot()
+        # Rot the newest snapshot's seal page (mapping region, role
+        # "checkpoint").
+        seal_addr = store.seal_addr(store.seq % 2)
+        injector.inject("bit_rot", seal_addr)
+        before = injector.inner.read_data(seal_addr)
         report = fsck_driver(driver)
         assert [(f.role, f.action) for f in report.faults] == [
             ("checkpoint", "reported")
         ]
-        assert injector.inner.read_data(snapshot_addr) == before  # untouched
+        assert injector.inner.read_data(seal_addr) == before  # untouched
         assert report.check.consistent
 
 

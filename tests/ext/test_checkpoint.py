@@ -1,25 +1,30 @@
-"""Tests for clean-shutdown checkpointing (the paper's future-work item)."""
+"""Clean-shutdown fast restart (the paper's future-work item).
+
+A clean shutdown is a mapping snapshot with an empty journal
+(:class:`repro.ext.journal.MappingStore`); restart loads it instead of
+scanning every page of the device.  The crash side of the same restart
+path is covered by the journal crash matrix in ``test_journal.py``.
+"""
 
 import random
 
-import pytest
-
+from repro.core.mapping import MAPPING_PHASE, MappingConfig
 from repro.core.pdl import PdlDriver
-from repro.core.recovery import RECOVERY_PHASE
-from repro.ext.checkpoint import CHECKPOINT_PHASE, CheckpointManager
+from repro.ext.journal import restart_driver
 from repro.flash.chip import FlashChip
-from repro.flash.errors import CrashError
-from repro.ftl.errors import ConfigurationError
 
-REGION = 2
+MAX_DIFF = 64
 
 
 def _fresh(tiny_spec):
+    cfg = MappingConfig.auto(tiny_spec)
     chip = FlashChip(tiny_spec)
-    driver = PdlDriver(
-        chip, max_differential_size=64, checkpoint_region_blocks=REGION
-    )
-    return chip, driver, CheckpointManager(driver, REGION)
+    driver = PdlDriver(chip, max_differential_size=MAX_DIFF, mapping=cfg)
+    return chip, driver, cfg
+
+
+def _restart(chip, cfg):
+    return restart_driver(chip, max_differential_size=MAX_DIFF, mapping=cfg)
 
 
 def _churn(driver, rng, images, n):
@@ -32,124 +37,51 @@ def _churn(driver, rng, images, n):
         driver.write_page(pid, images[pid])
 
 
-class TestConfiguration:
-    def test_region_must_be_even_and_at_least_two(self, tiny_spec):
-        chip = FlashChip(tiny_spec)
-        driver = PdlDriver(chip, checkpoint_region_blocks=3)
-        with pytest.raises(ConfigurationError):
-            CheckpointManager(driver, 3)
-
-    def test_driver_region_must_match(self, tiny_spec):
-        chip = FlashChip(tiny_spec)
-        driver = PdlDriver(chip)  # no excluded region
-        with pytest.raises(ConfigurationError):
-            CheckpointManager(driver, 2)
-
-
 class TestFastRestart:
     def test_clean_shutdown_restarts_fast(self, tiny_spec):
-        chip, driver, manager = _fresh(tiny_spec)
+        chip, driver, cfg = _fresh(tiny_spec)
         rng = random.Random(1)
         images = {}
         for pid in range(10):
             images[pid] = rng.randbytes(driver.page_size)
             driver.load_page(pid, images[pid])
         _churn(driver, rng, images, 60)
-        manager.checkpoint()
-        restarted, _mgr, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
+        driver.flush()
+        driver.mapping.snapshot()
+        restarted, report = _restart(chip, cfg)
         assert report.fast_path
-        assert report.fallback is None
+        assert not report.fallback
         for pid, expected in images.items():
             assert restarted.read_page(pid) == expected
 
     def test_fast_restart_skips_full_scan(self, tiny_spec):
-        chip, driver, manager = _fresh(tiny_spec)
+        chip, driver, cfg = _fresh(tiny_spec)
         for pid in range(10):
             driver.load_page(pid, bytes([pid]) * driver.page_size)
-        manager.checkpoint()
+        driver.flush()
+        driver.mapping.snapshot()
         snap = chip.stats.snapshot()
-        CheckpointManager.restart(chip, REGION, max_differential_size=64)
+        _restart(chip, cfg)
         delta = chip.stats.delta_since(snap)
-        assert delta.of_phase(RECOVERY_PHASE).reads == 0
-        assert delta.of_phase(CHECKPOINT_PHASE).reads < tiny_spec.n_pages // 2
+        assert delta.totals().reads < tiny_spec.n_pages // 2
+        assert delta.of_phase(MAPPING_PHASE).reads < tiny_spec.n_pages // 2
 
     def test_restart_continues_operation(self, tiny_spec):
-        chip, driver, manager = _fresh(tiny_spec)
+        chip, driver, cfg = _fresh(tiny_spec)
         rng = random.Random(2)
         images = {}
         for pid in range(10):
             images[pid] = rng.randbytes(driver.page_size)
             driver.load_page(pid, images[pid])
-        manager.checkpoint()
-        restarted, mgr, _ = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
+        driver.flush()
+        driver.mapping.snapshot()
+        restarted, _ = _restart(chip, cfg)
         _churn(restarted, rng, images, 80)
         for pid, expected in images.items():
             assert restarted.read_page(pid) == expected
-        mgr.checkpoint()  # a second checkpoint cycle works too
-        again, _, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
+        restarted.flush()
+        restarted.mapping.snapshot()  # a second shutdown cycle works too
+        again, report = _restart(chip, cfg)
         assert report.fast_path
         for pid, expected in images.items():
             assert again.read_page(pid) == expected
-
-
-class TestCrashFallback:
-    def test_crash_after_checkpoint_falls_back(self, tiny_spec):
-        """Writes after a checkpoint invalidate it (session marker)."""
-        chip, driver, manager = _fresh(tiny_spec)
-        rng = random.Random(3)
-        images = {}
-        for pid in range(10):
-            images[pid] = rng.randbytes(driver.page_size)
-            driver.load_page(pid, images[pid])
-        manager.checkpoint()
-        # reopen (fast), then modify and crash without a new checkpoint
-        reopened, mgr, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
-        assert report.fast_path
-        _churn(reopened, rng, images, 40)
-        reopened.flush()
-        # "crash": no shutdown checkpoint.  Restart must use the full scan.
-        recovered, _mgr, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
-        assert not report.fast_path
-        assert report.fallback is not None
-        for pid, expected in images.items():
-            assert recovered.read_page(pid) == expected
-
-    def test_no_checkpoint_at_all_falls_back(self, tiny_spec):
-        chip, driver, _manager = _fresh(tiny_spec)
-        driver.load_page(0, bytes(driver.page_size))
-        driver.flush()
-        recovered, _mgr, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
-        assert not report.fast_path
-        assert recovered.read_page(0) == bytes(driver.page_size)
-
-    def test_crash_during_checkpoint_falls_back(self, tiny_spec):
-        chip, driver, manager = _fresh(tiny_spec)
-        rng = random.Random(4)
-        images = {}
-        for pid in range(8):
-            images[pid] = rng.randbytes(driver.page_size)
-            driver.load_page(pid, images[pid])
-        manager.checkpoint()
-        _churn(driver, rng, images, 30)
-        driver.flush()
-        chip.crash_after(0)  # die on the next checkpoint's first program
-        with pytest.raises(CrashError):
-            manager.checkpoint()
-        recovered, _mgr, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=64
-        )
-        # whichever path was taken, the data must be the flushed state
-        for pid, expected in images.items():
-            assert recovered.read_page(pid) == expected

@@ -15,7 +15,9 @@ ppmt/vdct state.  The boundaries under attack:
   the new seal exists but the old journal was not yet erased;
 * a journal tail strictly newer than the snapshot (the fast path's
   bread and butter);
-* journal overflow: the marker page must force the scan fallback.
+* journal overflow: the marker page must force the scan fallback;
+* a clean shutdown (snapshot, empty journal): restart, keep writing,
+  restart again — fast both times, same state as the scan.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from repro.core.mapping import MappingConfig
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_tables
 from repro.core.tables import PhysicalPageMappingTable, ValidDifferentialCountTable
-from repro.ext.journal import restart_driver
+from repro.ext.journal import MappingStore, restart_driver
 from repro.flash.chip import FlashChip
 from repro.flash.errors import SimulatedPowerLoss
 from repro.flash.spec import FlashSpec
+from repro.ftl.errors import ConfigurationError
 
 SPEC = FlashSpec(
     n_blocks=16, pages_per_block=8, page_data_size=256, page_spare_size=32
@@ -306,3 +309,47 @@ def test_journal_overflow_marker_forces_fallback():
     recovered, report = _restart(chip, cfg)
     assert report.fallback and not report.fast_path
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
+
+
+def test_region_geometry_is_validated():
+    """Two equal snapshot halves after the journal, and data blocks left."""
+    with pytest.raises(ConfigurationError):
+        MappingConfig(region_blocks=4, journal_blocks=1)  # odd halves
+    with pytest.raises(ConfigurationError):
+        MappingConfig(region_blocks=2, journal_blocks=1)  # one half
+    with pytest.raises(ConfigurationError):
+        MappingStore(FlashChip(SPEC), MappingConfig(region_blocks=SPEC.n_blocks))
+
+
+def test_clean_restart_keep_writing_restart_again():
+    """A clean shutdown is a snapshot with an empty journal: restart takes
+    the fast path without the device scan, the restarted driver keeps
+    journaling, and a second restart is fast and lands on the same state."""
+    chip, driver, cfg = _build()
+    _workload(driver)
+    driver.mapping.snapshot()
+    rng = random.Random(11)
+    images = {pid: driver.read_page(pid) for pid in range(N_PIDS)}
+
+    before = chip.stats.snapshot()
+    first, report = restart_driver(chip, max_differential_size=MAX_DIFF, mapping=cfg)
+    assert report.fast_path and not report.repaired
+    assert report.journal_records == 0
+    assert chip.stats.delta_since(before).totals().reads < SPEC.n_pages // 2
+    for pid, expected in images.items():
+        assert first.read_page(pid) == expected
+
+    for _ in range(30):
+        pid = rng.randrange(N_PIDS)
+        image = bytearray(images[pid])
+        image[0:8] = rng.randbytes(8)
+        images[pid] = bytes(image)
+        first.write_page(pid, images[pid])
+    first.flush()
+
+    expected = _scan_oracle(chip)
+    again, report = _restart(chip, cfg)
+    assert report.fast_path and not report.fallback
+    assert _state_of(again.ppmt, again.vdct) == expected
+    for pid, image in images.items():
+        assert again.read_page(pid) == image

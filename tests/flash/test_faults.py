@@ -28,9 +28,9 @@ def _backend(kind, spec, tmp_path):
     return FileBackend(tmp_path / "chip.flash", spec)
 
 
-def _chip(tmp_path, kind="memory", seed=0, **chip_kwargs):
+def _chip(tmp_path, kind="memory", seed=0):
     injector = FaultInjector(_backend(kind, SPEC, tmp_path), seed=seed)
-    chip = FlashChip(SPEC, backend=injector, **chip_kwargs)
+    chip = FlashChip(SPEC, backend=injector)
     return injector, chip
 
 
@@ -188,25 +188,6 @@ class TestChipVerification:
         with pytest.raises(ChecksumError):
             chip.read_pages(range(6))
         assert chip.stats.checksum_failures == 1
-
-    def test_checksum_failure_evicts_cached_copy(self, tmp_path):
-        injector, chip = _chip(tmp_path, read_cache_pages=4)
-        _load(chip, n=2)
-        chip.read_page(0)  # populates the cache
-        assert 0 in chip.cache
-        injector.inject("bit_rot", 0)
-        # The cache would happily serve the stale (pre-rot) copy; reads
-        # bypassing it must evict on failure so nothing resurrects it.
-        chip.cache.invalidate(0)
-        with pytest.raises(ChecksumError):
-            chip.read_page(0)
-        assert 0 not in chip.cache
-
-    def test_unverified_reads_never_populate_cache(self, tmp_path):
-        _injector, chip = _chip(tmp_path, read_cache_pages=4)
-        _load(chip, n=1)
-        chip.read_page(0, verify=False)
-        assert 0 not in chip.cache
 
     def test_pre_checksum_spare_reads_without_verification(self, tmp_path):
         """A 16-byte spare has no checksum slot: reads must not fail."""

@@ -2,12 +2,13 @@
 
 The acceptance bar for the integrity layer: for each injected
 single-page fault — bit rot, misdirected write, torn spare program — at
-each page role — live base, live differential, checkpoint snapshot —
-fsck must *detect* the damage (100% of cells), then either *repair* the
-page online (when a surviving copy, chain entry, or self-healing
-snapshot protocol exists) or *declare the precise loss*; and a
-subsequent Figure-11 recovery scan of the repaired chip must round-trip
-cleanly.  The matrix runs on the memory backend and the file backend,
+each page role — live base, live differential, and the newest seal page
+of the mapping snapshot (fsck role ``"checkpoint"``) — fsck must
+*detect* the damage (100% of cells), then either *repair* the page
+online (when a surviving copy or chain entry exists), *report* it (the
+mapping region, which restart refuses and rebuilds by the full scan) or
+*declare the precise loss*; and a subsequent restart of the chip must
+serve every surviving page.  The matrix runs on the memory backend and the file backend,
 plus array-level smoke over ``ShardedDriver`` on the inline and thread executors
 / ``Database`` and a pre-checksum image compatibility check.
 """
@@ -17,9 +18,9 @@ import os
 import pytest
 
 from repro.core import check_driver, fsck_driver
+from repro.core.mapping import MappingConfig
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
-from repro.ext.checkpoint import CheckpointManager
 from repro.flash.backend import FaultInjector, FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spare import (
@@ -33,6 +34,7 @@ from repro.flash.spec import FlashSpec
 
 SPEC = FlashSpec(n_blocks=16, pages_per_block=8, page_data_size=256, page_spare_size=32)
 PAGE = SPEC.page_data_size
+MAPPING = MappingConfig.auto(SPEC, cache_entries=0)
 
 FAULTS = ["bit_rot", "misdirected_write", "torn_spare"]
 ROLES = ["base", "differential", "checkpoint"]
@@ -45,46 +47,65 @@ def _patched(data, offset, patch):
     return bytes(image)
 
 
-def _build(backend_kind, tmp_path, seed=0):
+def _build(backend_kind, tmp_path, seed=0, snapshots=1, updates=0):
+    """A loaded, flushed device with ``snapshots`` mapping snapshots.
+
+    Every snapshot after the first is preceded by a round of flushed
+    updates, and ``updates`` more flushed rounds follow the last one, so
+    a restart that rolled back to an older snapshot would lose acked
+    pages.
+    """
     if backend_kind == "memory":
         inner = MemoryBackend(SPEC)
     else:
         inner = FileBackend(tmp_path / "chip.flash", SPEC)
     injector = FaultInjector(inner, seed=seed)
     chip = FlashChip(SPEC, backend=injector)
-    driver = PdlDriver(chip, max_differential_size=64, checkpoint_region_blocks=2)
-    manager = CheckpointManager(driver, 2)
+    driver = PdlDriver(chip, max_differential_size=64, mapping=MAPPING)
     images = {}
     for pid in range(10):
         images[pid] = bytes([pid + 1]) * PAGE
         driver.load_page(pid, images[pid])
     driver.end_of_load()
-    for pid in range(10):
-        images[pid] = _patched(images[pid], 5, b"\xbb")
-        driver.write_page(pid, images[pid])
-    driver.flush()
-    manager.checkpoint()
-    return injector, chip, driver, manager, images
+
+    def update_round(offset):
+        for pid in range(10):
+            images[pid] = _patched(images[pid], offset, bytes([0xBB - offset]))
+            driver.write_page(pid, images[pid])
+        driver.flush()
+
+    update_round(5)
+    for n in range(snapshots):
+        if n:
+            update_round(6 + n)
+        driver.mapping.snapshot()
+    for n in range(updates):
+        update_round(20 + n)
+    return injector, chip, driver, images
 
 
-def _target_addr(driver, manager, role, pid):
+def _newest_seal(driver):
+    store = driver.mapping
+    return store.seal_addr(store.seq % 2)
+
+
+def _target_addr(driver, role, pid):
     if role == "base":
         return driver.ppmt.require(pid).base_addr
     if role == "differential":
         addr = driver.ppmt.require(pid).diff_addr
         assert addr is not None, "workload must leave a flash differential"
         return addr
-    # checkpoint: the active snapshot's header page
-    return manager._half_pages(manager._seq)[0]
+    return _newest_seal(driver)
 
 
 @pytest.mark.parametrize("backend_kind", BACKENDS)
 @pytest.mark.parametrize("role", ROLES)
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
-    injector, chip, driver, manager, images = _build(backend_kind, tmp_path, seed=3)
+    injector, chip, driver, images = _build(backend_kind, tmp_path, seed=3)
     pid = 6
-    addr = _target_addr(driver, manager, role, pid)
+    addr = _target_addr(driver, role, pid)
     injector.inject(fault, addr)
 
     report = fsck_driver(driver)
@@ -97,7 +118,8 @@ def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
     # 2. Disposition: repaired pages serve their exact pre-fault bytes;
     #    lost/rolled-back pages are precisely reported.
     if role == "checkpoint":
-        # Never touched: the snapshot protocol self-heals on restart.
+        # Never touched: restart refuses the damaged seal and rebuilds
+        # the mapping region from the full scan.
         assert all(
             f.action == "reported" for f in report.faults if f.role == "checkpoint"
         )
@@ -112,22 +134,46 @@ def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
         else:
             assert got == images[spid], f"pid {spid} serves wrong bytes"
 
-    # 3. Round-trip: recovery over the repaired chip must succeed and
+    # 3. Round-trip: a restart over the repaired chip must succeed and
     #    yield a consistent driver serving the same survivors.
     driver.flush()
-    recovered, _ = recover_driver(chip, max_differential_size=64,
-                                  checkpoint_region_blocks=2)
+    recovered, restart = recover_driver(
+        chip, max_differential_size=64, mapping=MAPPING
+    )
     assert check_driver(recovered).consistent
     for spid in sorted(survivors - rollbacks):
         assert recovered.read_page(spid) == images[spid]
+    if role == "checkpoint" and fault != "torn_spare":
+        # The seal no longer validates: only the full scan is sound.
+        assert restart.fallback and not restart.fast_path
 
-    # 4. Checkpoint restart still works (fast path or Figure-11 fallback).
-    if role == "checkpoint":
-        driver2, _mgr, restart = CheckpointManager.restart(
-            chip, region_blocks=2, max_differential_size=64
-        )
-        for spid in sorted(survivors - rollbacks):
-            assert driver2.read_page(spid) == images[spid]
+
+@pytest.mark.parametrize("updates", [0, 5])
+@pytest.mark.parametrize("snapshots", [1, 2])
+@pytest.mark.parametrize("fault", ["bit_rot", "misdirected_write"])
+def test_damaged_newest_seal_never_rolls_back(tmp_path, fault, snapshots, updates):
+    """A programmed seal that fails validation must force the full scan.
+
+    Taking the fast path from the older half (or the implicit empty
+    snapshot) would treat the newer epoch's journal as a torn tail and
+    drop every acked page written since that older snapshot.
+    """
+    injector, chip, driver, images = _build(
+        "memory", tmp_path, seed=3, snapshots=snapshots, updates=updates
+    )
+    injector.inject(fault, _newest_seal(driver))
+    recovered, report = recover_driver(
+        chip, max_differential_size=64, mapping=MAPPING
+    )
+    assert report.fallback and not report.fast_path
+    assert check_driver(recovered).consistent
+    for pid, expected in images.items():
+        assert recovered.read_page(pid) == expected, f"pid {pid} rolled back"
+    # The repair snapshot re-arms the fast path for the next restart.
+    again, report = recover_driver(chip, max_differential_size=64, mapping=MAPPING)
+    assert report.fast_path
+    for pid, expected in images.items():
+        assert again.read_page(pid) == expected
 
 
 class TestRepairableCells:
@@ -135,7 +181,7 @@ class TestRepairableCells:
 
     @pytest.mark.parametrize("backend_kind", BACKENDS)
     def test_base_with_surviving_copy_repairs(self, tmp_path, backend_kind):
-        injector, chip, driver, _manager, images = _build(backend_kind, tmp_path)
+        injector, chip, driver, images = _build(backend_kind, tmp_path)
         pid = 2
         entry = driver.ppmt.require(pid)
         copy_addr = driver.blocks.allocate(stream=driver._base_stream)
@@ -154,7 +200,7 @@ class TestRepairableCells:
 
     @pytest.mark.parametrize("backend_kind", BACKENDS)
     def test_differential_with_surviving_chain_repairs(self, tmp_path, backend_kind):
-        injector, chip, driver, _manager, images = _build(backend_kind, tmp_path)
+        injector, chip, driver, images = _build(backend_kind, tmp_path)
         pid = 3
         v2 = _patched(images[pid], 9, b"\xcc")
         driver.write_page(pid, v2)

@@ -124,7 +124,7 @@ class TestShardFactory:
         factory = ShardFactory(
             label="PDL (128B)",
             spec=SPEC,
-            read_cache_pages=4,
+            realtime_scale=0.25,
             driver_kwargs={"coalesce_gap": 2},
         )
         clone = pickle.loads(pickle.dumps(factory))
@@ -141,11 +141,11 @@ class TestShardFactory:
 
     def test_factories_from_chips_captures_config(self):
         chips = [
-            FlashChip(SPEC, read_cache_pages=8),
+            FlashChip(SPEC, realtime_scale=0.5),
             FlashChip(SPEC),
         ]
         factories = factories_from_chips(chips, "PDL (64B)", {})
-        assert [f.read_cache_pages for f in factories] == [8, 0]
+        assert [f.realtime_scale for f in factories] == [0.5, 0.0]
         assert all(f.path is None for f in factories)
         assert all(f.spec == SPEC for f in factories)
 

@@ -61,7 +61,6 @@ CONFIG_OBJECTS = [
         spec=TINY_SPEC,
         path="/tmp/x.img",
         recover=True,
-        read_cache_pages=8,
         realtime_scale=0.5,
         driver_kwargs={"coalesce_gap": 2},
     ),
